@@ -7,7 +7,8 @@
 //! level schedule is wide, which is what the parallel sweep exploits) and
 //! compare wall-clock times at 1/2/4/8 worker threads. Every parallel run
 //! is verified **bit-identical** to the sequential arena before any timing
-//! is reported.
+//! is reported. The ordering step that precedes the factor is timed too
+//! (`ordering_seconds`), so the report shows its share of a build.
 //!
 //! Besides the human-readable table the bench writes
 //! `BENCH_inverse_build.json` at the repository root so the perf trajectory
@@ -35,6 +36,8 @@ fn main() {
     let graph = generators::grid_2d(SIDE, SIDE, 0.5, 2.0, 7).expect("generator");
     let lap = grounded_laplacian(&graph, 1.0);
     let perm = amd::amd(&lap).expect("amd");
+    let ordering_seconds = min_seconds(SAMPLES, false, || amd::amd(&lap).expect("amd"));
+    println!("ordering (amd): {ordering_seconds:.3}s");
     let permuted = lap.permute_symmetric(&perm).expect("permute");
     let factor = IncompleteCholesky::factor(
         &permuted,
@@ -71,7 +74,8 @@ fn main() {
     // reused across every sample.
     let shared = std::sync::Arc::new(l.clone());
     let mut parallel_reports = Vec::new();
-    let mut best_speedup = 1.0f64;
+    // The best measured parallel run, even when it is a slowdown.
+    let mut best_speedup = f64::NEG_INFINITY;
     for threads in [2usize, 4, 8] {
         let pool = effres_sparse::WorkerPool::new(threads);
         let options = BuildOptions {
@@ -133,6 +137,7 @@ fn main() {
         ("schedule_mean_width", Json::Num(schedule.mean_width())),
         ("hardware_threads", Json::Int(hardware as u64)),
         ("samples", Json::Int(SAMPLES as u64)),
+        ("ordering_seconds", Json::Num(ordering_seconds)),
         ("sequential_seconds", Json::Num(sequential_seconds)),
         ("parallel", Json::Arr(parallel_reports)),
         ("best_speedup", Json::Num(best_speedup)),

@@ -80,7 +80,7 @@ BUILD OPTIONS (dataset inputs):
     --epsilon <e>           pruning threshold of Alg. 2  [default: 1e-3]
     --drop-tolerance <t>    incomplete Cholesky drop tol [default: 1e-3]
     --ordering <o>          natural | rcm | amd          [default: amd]
-    --ground <g>            ground conductance           [default: 1e-6]
+    --ground <g>            ground conductance           [default: 1]
     --build-threads <n>     approximate-inverse build workers
                             (0 = all cores, 1 = sequential; results are
                             bit-identical either way)     [default: 0]

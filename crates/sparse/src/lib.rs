@@ -8,8 +8,8 @@
 //!   column ([`CscMatrix`]) and compressed sparse row ([`CsrMatrix`]);
 //! * small dense matrices ([`DenseMatrix`]) used as reference implementations
 //!   and for Schur complements of small blocks;
-//! * fill-reducing orderings: approximate minimum degree ([`amd::amd`]) and
-//!   reverse Cuthill–McKee ([`rcm::rcm`]);
+//! * fill-reducing orderings: exact minimum degree with lowest-index ties
+//!   ([`amd::amd`]) and reverse Cuthill–McKee ([`rcm::rcm`]);
 //! * symbolic analysis: elimination trees, postorder, column counts
 //!   ([`etree`], [`symbolic`]);
 //! * numeric factorizations: full sparse Cholesky ([`cholesky::CholeskyFactor`])
