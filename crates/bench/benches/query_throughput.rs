@@ -37,7 +37,7 @@ use effres::prelude::*;
 use effres_bench::report::{min_seconds, write_report, Json};
 use effres_io::paged::{open_paged, PagedOptions};
 use effres_io::snapshot::save_snapshot;
-use effres_service::{EngineOptions, QueryBatch, QueryEngine};
+use effres_service::{EngineOptions, ExecOptions, QueryBatch, QueryEngine};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -272,6 +272,12 @@ fn main() {
         parallel_threshold: usize::MAX,
         ..EngineOptions::default()
     };
+    // The arrival-order rows opt out of the locality scheduler the engine
+    // would otherwise pick for a paged backend.
+    let arrival_order = ExecOptions {
+        schedule: false,
+        ..ExecOptions::default()
+    };
     let mut paged_reports = Vec::new();
     for &cache_pages in &[64usize, PagedOptions::default().cache_pages] {
         let paged = open_paged(
@@ -285,7 +291,11 @@ fn main() {
         // warm page cache.
         let mut last = None;
         let seconds = min_seconds(3, true, || {
-            last = Some(engine.execute(&batch).expect("in bounds"));
+            last = Some(
+                engine
+                    .execute_with(&batch, &arrival_order)
+                    .expect("in bounds"),
+            );
         });
         let qps = QUERIES as f64 / seconds;
         let page = last.and_then(|r| r.page_cache).unwrap_or_default();
@@ -329,7 +339,7 @@ fn main() {
         )
         .expect("open paged");
         let engine = QueryEngine::new(Arc::new(paged), paged_engine_options());
-        let check = engine.execute_scheduled(&batch).expect("in bounds");
+        let check = engine.execute(&batch).expect("in bounds");
         assert!(
             check
                 .values
@@ -340,7 +350,7 @@ fn main() {
         );
         let mut last = None;
         let seconds = min_seconds(3, false, || {
-            last = Some(engine.execute_scheduled(&batch).expect("in bounds"));
+            last = Some(engine.execute(&batch).expect("in bounds"));
         });
         let qps = QUERIES as f64 / seconds;
         let last = last.expect("at least one sample");

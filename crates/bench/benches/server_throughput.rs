@@ -112,13 +112,13 @@ fn main() {
     let direct_snapshot = Arc::new(open_paged(&snap_path, &paged_options).expect("open"));
     let direct_paged = QueryEngine::new(Arc::clone(&direct_snapshot), engine_options());
     let direct_paged_seconds = min_wall(SAMPLES, || {
-        direct_paged.execute_scheduled(&batch).expect("in bounds");
+        direct_paged.execute(&batch).expect("in bounds");
     });
     let paged_direct_qps = QUERIES as f64 / direct_paged_seconds;
     println!(
         "paged direct scheduled:  {direct_paged_seconds:.3}s  ({paged_direct_qps:.0} queries/s)"
     );
-    let probe = direct_paged.execute_scheduled(&batch).expect("in bounds");
+    let probe = direct_paged.execute(&batch).expect("in bounds");
     if let (Some(page), Some(plan)) = (&probe.page_cache, &probe.schedule) {
         println!(
             "paged direct IO/plan:    {} misses, {:.1} MiB read, {} readahead read(s); \

@@ -36,7 +36,7 @@ use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::{load_snapshot, save_snapshot, Snapshot};
 use effres_io::{pairs, IoError};
 use effres_server::{Client, ClientError, ServedEngine, Server, ServerOptions};
-use effres_service::{EngineOptions, LatencyHistogram, QueryBatch, QueryEngine};
+use effres_service::{EngineOptions, ExecOptions, LatencyHistogram, QueryBatch, QueryEngine};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -915,11 +915,15 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         // and the hi side is swept with coalesced readahead. `--no-schedule`
         // keeps the arrival-order reference path (bit-identical, far more
         // page traffic).
-        let result = if options.no_schedule {
-            engine.execute(&batch)?
-        } else {
-            engine.execute_scheduled(&batch)?
-        };
+        let result = engine
+            .execute_with(
+                &batch,
+                &ExecOptions {
+                    schedule: !options.no_schedule,
+                    ..ExecOptions::default()
+                },
+            )
+            .map_err(|abort| abort.error)?;
         return serve_batch(
             &result,
             &batch,
@@ -1023,11 +1027,15 @@ fn cmd_centrality(args: &[String]) -> Result<(), CliError> {
             let paged = obtain_paged(&snap, &options)?;
             check_nodes(paged.node_count())?;
             let engine = QueryEngine::new(Arc::new(paged), engine_options);
-            if options.no_schedule {
-                engine.execute(&batch)?
-            } else {
-                engine.execute_scheduled(&batch)?
-            }
+            engine
+                .execute_with(
+                    &batch,
+                    &ExecOptions {
+                        schedule: !options.no_schedule,
+                        ..ExecOptions::default()
+                    },
+                )
+                .map_err(|abort| abort.error)?
         }
         Some(snap) => {
             let snapshot = obtain_snapshot(&snap, &options)?;

@@ -52,7 +52,7 @@ use crate::protocol::{
 use effres::{CancelReason, EffectiveResistanceEstimator, EffresError};
 use effres_io::{PagedSnapshot, ScrubStats};
 use effres_service::{
-    AdmissionStats, BatchAbort, BatchResult, CancelToken, LatencyHistogram, PartialBatchResult,
+    AdmissionStats, BatchAbort, BatchResult, CancelToken, ExecOptions, LatencyHistogram,
     QueryBatch, QueryEngine, ServiceStats,
 };
 use std::fmt::Write as _;
@@ -137,10 +137,10 @@ impl Default for ServerOptions {
 
 /// The engine behind a server: resident or paged, one shared instance.
 ///
-/// Batches on the paged variant run through the locality scheduler
-/// (`execute_scheduled`), which is both the fast path and the one that
-/// leases pin capacity from the admission ledger; the resident variant has
-/// no pages to schedule and uses plain parallel execution.
+/// Batches go through [`QueryEngine::execute_with`] on either variant: the
+/// engine itself runs the locality scheduler on the paged backend (the fast
+/// path, and the one that leases pin capacity from the admission ledger) and
+/// plain parallel execution on the resident one.
 #[derive(Debug)]
 pub enum ServedEngine {
     /// In-memory arena backend.
@@ -174,42 +174,21 @@ impl ServedEngine {
         }
     }
 
-    /// Executes a batch — scheduled on the paged backend, plain on the
-    /// resident one.
+    /// Executes a batch with the default [`ExecOptions`].
     pub fn execute(&self, batch: &QueryBatch) -> Result<BatchResult, EffresError> {
-        match self {
-            ServedEngine::Resident(engine) => engine.execute(batch),
-            ServedEngine::Paged(engine) => engine.execute_scheduled(batch),
-        }
+        self.execute_with(batch, &ExecOptions::default())
+            .map_err(|abort| abort.error)
     }
 
-    /// [`ServedEngine::execute`] under a cancellation token: the batch is
-    /// shed up front when its deadline is unmeetable, and abandoned at the
-    /// next chunk boundary when the token trips mid-computation.
-    pub fn execute_with_cancel(
+    /// Executes a batch (see [`QueryEngine::execute_with`]).
+    pub fn execute_with(
         &self,
         batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
+        opts: &ExecOptions,
     ) -> Result<BatchResult, BatchAbort> {
         match self {
-            ServedEngine::Resident(engine) => engine.execute_with_cancel(batch, cancel),
-            ServedEngine::Paged(engine) => engine.execute_scheduled_with_cancel(batch, cancel),
-        }
-    }
-
-    /// [`ServedEngine::execute_partial`] under a cancellation token: a trip
-    /// mid-batch keeps everything already answered (bit-identical) and marks
-    /// the abandoned tail [`EffresError::DeadlineExceeded`].
-    pub fn execute_partial_with_cancel(
-        &self,
-        batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
-    ) -> Result<PartialBatchResult, EffresError> {
-        match self {
-            ServedEngine::Resident(engine) => engine.execute_partial_with_cancel(batch, cancel),
-            ServedEngine::Paged(engine) => {
-                engine.execute_scheduled_partial_with_cancel(batch, cancel)
-            }
+            ServedEngine::Resident(engine) => engine.execute_with(batch, opts),
+            ServedEngine::Paged(engine) => engine.execute_with(batch, opts),
         }
     }
 
@@ -219,22 +198,6 @@ impl ServedEngine {
         match self {
             ServedEngine::Resident(engine) => engine.set_brownout(on),
             ServedEngine::Paged(engine) => engine.set_brownout(on),
-        }
-    }
-
-    /// Executes a batch in partial-results mode: per-query statuses instead
-    /// of all-or-nothing (see
-    /// [`QueryEngine::execute_partial`] and
-    /// `QueryEngine::<PagedSnapshot>::execute_scheduled_partial`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EffresError::Busy`] when bounded admission shed the whole
-    /// batch before any work.
-    pub fn execute_partial(&self, batch: &QueryBatch) -> Result<PartialBatchResult, EffresError> {
-        match self {
-            ServedEngine::Resident(engine) => Ok(engine.execute_partial(batch)),
-            ServedEngine::Paged(engine) => engine.execute_scheduled_partial(batch),
         }
     }
 
@@ -979,11 +942,8 @@ fn handle_request(
                     let _guard = (batch.len() >= MONITOR_MIN_PAIRS)
                         .then(|| watch_for_disconnect(stream, &cancel))
                         .flatten();
-                    if matches!(opcode, OP_BATCH_PARTIAL | OP_BATCH_PARTIAL_DEADLINE) {
-                        answer_batch_partial(writer, shared, started, &batch, &cancel)?;
-                    } else {
-                        answer_batch(writer, shared, started, &batch, &cancel)?;
-                    }
+                    let partial = matches!(opcode, OP_BATCH_PARTIAL | OP_BATCH_PARTIAL_DEADLINE);
+                    answer_batch(writer, shared, started, &batch, &cancel, partial)?;
                 }
             }
         }
@@ -1073,128 +1033,97 @@ fn parse_batch_body(body: &[u8], with_deadline: bool) -> io::Result<ParsedBatch>
     Ok((deadline, pairs))
 }
 
-/// Answers an all-or-nothing batch under a cancellation token. Outside
-/// brownout this is the plain `OP_BATCH_OK`-or-abort path; under brownout
-/// the batch runs in partial mode instead, so answers computed before
-/// pressure (or the deadline) cut it short still ship — a complete run
-/// still encodes as `OP_BATCH_OK`, bit-identical to the normal path.
+/// Answers a batch under a cancellation token. A partial request always
+/// encodes as [`OP_BATCH_PARTIAL_OK`]. An all-or-nothing request answers
+/// [`OP_BATCH_OK`] or a typed error — except under brownout, where it runs
+/// in partial mode so answers computed before pressure (or the deadline)
+/// cut it short still ship; a complete run still encodes as `OP_BATCH_OK`,
+/// bit-identical to the normal path.
 fn answer_batch(
     writer: &mut impl Write,
     shared: &Shared,
     started: Instant,
     batch: &QueryBatch,
     cancel: &Arc<CancelToken>,
+    partial: bool,
 ) -> io::Result<()> {
-    let epoch = shared.current_epoch();
-    if shared.brownout_active.load(Ordering::Relaxed) {
-        return match epoch.engine.execute_partial_with_cancel(batch, cancel) {
-            Ok(result) => {
-                note_partial_outcome(shared, &result);
-                if result.is_complete() {
-                    let mut out = Vec::with_capacity(5 + result.statuses.len() * 8);
-                    out.push(OP_BATCH_OK);
-                    out.extend_from_slice(&(result.statuses.len() as u32).to_le_bytes());
-                    for status in &result.statuses {
-                        let value = status.as_ref().copied().unwrap_or(0.0);
-                        out.extend_from_slice(&value.to_le_bytes());
-                    }
-                    write_frame(writer, &out)?;
-                } else {
-                    write_partial_batch(writer, shared, &result)?;
+    let opts = ExecOptions {
+        partial: partial || shared.brownout_active.load(Ordering::Relaxed),
+        cancel: Some(Arc::clone(cancel)),
+        schedule: true,
+    };
+    let outcome = shared.current_epoch().engine.execute_with(batch, &opts);
+    note_batch(shared, &outcome);
+    match outcome {
+        Ok(result) => {
+            if partial || !result.is_complete() {
+                write_partial_batch(writer, &result)?;
+            } else {
+                let mut out = Vec::with_capacity(5 + result.values.len() * 8);
+                out.push(OP_BATCH_OK);
+                out.extend_from_slice(&(result.values.len() as u32).to_le_bytes());
+                for value in &result.values {
+                    out.extend_from_slice(&value.to_le_bytes());
                 }
-                shared.latency.record(started.elapsed());
-                Ok(())
+                write_frame(writer, &out)?;
             }
-            Err(e) => {
-                note_batch_error(shared, &e, batch.len() as u64);
-                write_engine_error(writer, shared, &e)
-            }
-        };
-    }
-    match epoch.engine.execute_with_cancel(batch, cancel) {
-        Ok(result) => {
-            shared.note_batch_outcome(false);
-            let mut out = Vec::with_capacity(5 + result.values.len() * 8);
-            out.push(OP_BATCH_OK);
-            out.extend_from_slice(&(result.values.len() as u32).to_le_bytes());
-            for value in &result.values {
-                out.extend_from_slice(&value.to_le_bytes());
-            }
-            write_frame(writer, &out)?;
             shared.latency.record(started.elapsed());
             Ok(())
         }
-        Err(abort) => {
-            note_batch_error(shared, &abort.error, abort.abandoned_pairs);
-            write_engine_error(writer, shared, &abort.error)
-        }
+        Err(abort) => write_engine_error(writer, shared, &abort.error),
     }
 }
 
-/// Answers a partial-mode batch under a cancellation token.
-fn answer_batch_partial(
-    writer: &mut impl Write,
-    shared: &Shared,
-    started: Instant,
-    batch: &QueryBatch,
-    cancel: &Arc<CancelToken>,
-) -> io::Result<()> {
-    match shared
-        .current_epoch()
-        .engine
-        .execute_partial_with_cancel(batch, cancel)
-    {
+/// Books a batch outcome. An abandoned tail (or a whole batch abandoned up
+/// front) counts as one cancellation, with its cause and pair count; sheds
+/// and deadline misses feed the brownout pressure EWMA as 1.0, successes as
+/// 0.0 (a disconnect says nothing about server pressure, so it does not
+/// feed it). The per-query failures of a partial batch land in the
+/// per-cause counters; whole-batch failures are counted where they are
+/// written ([`write_engine_error`]).
+fn note_batch(shared: &Shared, outcome: &Result<BatchResult, BatchAbort>) {
+    let (cancelled, abandoned, shed) = match outcome {
+        Err(abort) => match abort.error {
+            EffresError::DeadlineExceeded { reason } => {
+                (Some(reason), abort.abandoned_pairs, false)
+            }
+            EffresError::Busy { .. } => (None, 0, true),
+            _ => return,
+        },
         Ok(result) => {
-            note_partial_outcome(shared, &result);
-            write_partial_batch(writer, shared, &result)?;
-            shared.latency.record(started.elapsed());
-            Ok(())
+            for status in &result.statuses {
+                match status {
+                    Err(EffresError::StoreFailure { .. }) => {
+                        shared.store_failures.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(EffresError::Busy { .. }) => {
+                        shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                    }
+                    _ => {}
+                }
+            }
+            if !result.is_complete() {
+                shared.partial_batches.fetch_add(1, Ordering::Relaxed);
+            }
+            let cancelled = result.statuses.iter().find_map(|status| match status {
+                Err(EffresError::DeadlineExceeded { reason }) => Some(*reason),
+                _ => None,
+            });
+            let shed = result
+                .statuses
+                .iter()
+                .any(|status| matches!(status, Err(EffresError::Busy { .. })));
+            (cancelled, result.abandoned_pairs(), shed)
         }
-        Err(e) => {
-            note_batch_error(shared, &e, batch.len() as u64);
-            write_engine_error(writer, shared, &e)
-        }
-    }
-}
-
-/// Books a whole-batch failure: cancellations land in the lifecycle
-/// counters, and sheds or deadline misses feed the brownout pressure EWMA
-/// (a disconnect says nothing about server pressure, so it does not).
-fn note_batch_error(shared: &Shared, error: &EffresError, abandoned: u64) {
-    match error {
-        EffresError::DeadlineExceeded { reason } => {
-            shared.note_cancellation(*reason, abandoned);
-            if !matches!(reason, CancelReason::Disconnected) {
+    };
+    match cancelled {
+        Some(reason) => {
+            shared.note_cancellation(reason, abandoned);
+            if reason != CancelReason::Disconnected {
                 shared.note_batch_outcome(true);
             }
         }
-        EffresError::Busy { .. } => shared.note_batch_outcome(true),
-        _ => {}
-    }
-}
-
-/// Books a partial batch's outcome: an abandoned tail counts as one
-/// cancellation (with its cause and pair count), and the brownout EWMA
-/// samples shed/miss pressure exactly as the all-or-nothing path does.
-fn note_partial_outcome(shared: &Shared, result: &PartialBatchResult) {
-    let abandoned = result.abandoned_pairs();
-    if abandoned > 0 {
-        let reason = result
-            .statuses
-            .iter()
-            .find_map(|status| match status {
-                Err(EffresError::DeadlineExceeded { reason }) => Some(*reason),
-                _ => None,
-            })
-            .expect("abandoned pairs carry DeadlineExceeded statuses");
-        shared.note_cancellation(reason, abandoned);
-        shared.note_batch_outcome(!matches!(reason, CancelReason::Disconnected));
-    } else {
-        let shed = result
-            .statuses
-            .iter()
-            .any(|status| matches!(status, Err(EffresError::Busy { .. })));
-        shared.note_batch_outcome(shed);
+        None => shared.note_batch_outcome(shed),
     }
 }
 
@@ -1256,45 +1185,19 @@ fn partial_status(status: &Result<f64, EffresError>) -> u8 {
 }
 
 /// Encodes an [`OP_BATCH_PARTIAL_OK`] response: per-query status bytes,
-/// values (0.0 where failed), and the first failure's message. Bumps the
-/// per-cause counters for every failed query.
-fn write_partial_batch(
-    writer: &mut impl Write,
-    shared: &Shared,
-    result: &PartialBatchResult,
-) -> io::Result<()> {
+/// values (0.0 where failed), and the first failure's message.
+fn write_partial_batch(writer: &mut impl Write, result: &BatchResult) -> io::Result<()> {
     let count = result.statuses.len();
-    let mut failed: u32 = 0;
-    let mut first_failure = String::new();
     let mut out = Vec::with_capacity(1 + 8 + count * 9);
     out.push(OP_BATCH_PARTIAL_OK);
     out.extend_from_slice(&(count as u32).to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // patched below
-    for status in &result.statuses {
-        out.push(partial_status(status));
-        if let Err(e) = status {
-            failed += 1;
-            if first_failure.is_empty() {
-                first_failure = e.to_string();
-            }
-            match e {
-                EffresError::StoreFailure { .. } => {
-                    shared.store_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                EffresError::Busy { .. } => {
-                    shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-        }
+    out.extend_from_slice(&(result.failures() as u32).to_le_bytes());
+    out.extend(result.statuses.iter().map(partial_status));
+    for value in &result.values {
+        out.extend_from_slice(&value.to_le_bytes());
     }
-    out[5..9].copy_from_slice(&failed.to_le_bytes());
-    for status in &result.statuses {
-        out.extend_from_slice(&status.as_ref().copied().unwrap_or(0.0).to_le_bytes());
-    }
-    out.extend_from_slice(first_failure.as_bytes());
-    if failed > 0 {
-        shared.partial_batches.fetch_add(1, Ordering::Relaxed);
+    if let Some(Err(first)) = result.statuses.iter().find(|status| status.is_err()) {
+        out.extend_from_slice(first.to_string().as_bytes());
     }
     write_frame(writer, &out)
 }

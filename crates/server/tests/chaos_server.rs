@@ -84,7 +84,7 @@ fn reference_values(pairs: &[(u64, u64)]) -> Vec<f64> {
             .map(|&(p, q)| (p as usize, q as usize))
             .collect(),
     );
-    engine.execute_scheduled(&batch).expect("reference").values
+    engine.execute(&batch).expect("reference").values
 }
 
 /// Pulls `"key":<u64>` out of the hand-rendered stats JSON.

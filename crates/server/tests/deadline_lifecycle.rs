@@ -6,8 +6,9 @@
 
 use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
-use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
+use effres_io::paged::{open_paged, open_paged_with_faults, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::save_snapshot;
+use effres_io::{FaultPlan, RetryPolicy};
 use effres_server::{Client, ClientError, ServedEngine, Server, ServerHandle, ServerOptions};
 use effres_service::{EngineOptions, QueryEngine};
 use std::io::Write;
@@ -18,6 +19,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 const NODES: u64 = 256;
+
+/// How many times the deadline-storm test alternates its cancellation-off
+/// and cancellation-on phases (odd, so each side has a middle phase).
+const STORM_ALTERNATIONS: usize = 9;
 
 fn snapshot_path() -> &'static PathBuf {
     static PATH: OnceLock<PathBuf> = OnceLock::new();
@@ -100,7 +105,7 @@ fn reference_values(pairs: &[(u64, u64)]) -> Vec<f64> {
             .map(|&(p, q)| (p as usize, q as usize))
             .collect(),
     );
-    engine.execute_scheduled(&batch).expect("reference").values
+    engine.execute(&batch).expect("reference").values
 }
 
 /// Pulls `"key":<u64>` out of the hand-rendered stats JSON.
@@ -115,6 +120,11 @@ fn json_u64(stats: &str, key: &str) -> u64 {
         .collect::<String>()
         .parse()
         .unwrap_or_else(|_| panic!("stats key {key} is not a number: {stats}"))
+}
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
 }
 
 fn assert_bit_identical(served: &[f64], expected: &[f64], context: &str) {
@@ -168,7 +178,22 @@ fn deadline_batches_round_trip_bit_identically() {
 
 #[test]
 fn expired_deadline_abandons_work_and_keeps_the_connection_usable() {
-    let paged = open_paged(snapshot_path(), &churny_options()).expect("open");
+    // A seeded 10% transient-fault rate with a 5 ms retry backoff: the
+    // batch below makes several hundred page reads, so run to the end it
+    // sleeps through dozens of backoffs — over ten times its 20 ms budget
+    // however fast the machine. Without the faults a fast machine finishes
+    // it in about 20 ms, sometimes inside the budget. The schedule is a pure
+    // function of the seed and the read offsets, and eight retries never run
+    // dry at this rate, so every answer the store produces stays exact.
+    let paged = open_paged_with_faults(
+        snapshot_path(),
+        &churny_options().with_retry(RetryPolicy {
+            max_retries: 8,
+            backoff: Duration::from_millis(5),
+        }),
+        FaultPlan::new(0x0DEA_D11E).with_transient_errors(100_000),
+    )
+    .expect("open");
     let (addr, _handle, runner) = serve(paged, engine_options());
     let mut client = Client::connect(addr).expect("connect");
 
@@ -355,57 +380,69 @@ fn cancellation_recovers_goodput_under_a_deadline_storm() {
         (stop, thread)
     };
 
-    // Phase A — cancellation OFF. Measure how long live traffic takes while
-    // a legacy client hammers huge batches.
-    let (stop, storm) = run_storm(None);
-    let waited = Instant::now();
-    loop {
-        let stats = handle.stats_json();
-        if json_u64(&stats, "available") < json_u64(&stats, "budget") {
-            break;
+    // Each phase times two live batches of about a millisecond each. How
+    // much a legacy storm slows them depends on how its block leases happen
+    // to interleave with theirs, and a busy host can stall any single
+    // phase. One pair of phases is too small a sample for a 2× bound, so
+    // the phases alternate several times and the bound applies to the
+    // median phase of each side.
+    let mut off_phases = Vec::with_capacity(STORM_ALTERNATIONS);
+    let mut on_phases = Vec::with_capacity(STORM_ALTERNATIONS);
+    for _ in 0..STORM_ALTERNATIONS {
+        // Phase A — cancellation OFF. Measure how long live traffic takes while
+        // a legacy client hammers huge batches.
+        let (stop, storm) = run_storm(None);
+        let waited = Instant::now();
+        loop {
+            let stats = handle.stats_json();
+            if json_u64(&stats, "available") < json_u64(&stats, "budget") {
+                break;
+            }
+            assert!(
+                waited.elapsed() < Duration::from_secs(20),
+                "storm never took a lease"
+            );
+            std::thread::yield_now();
         }
-        assert!(
-            waited.elapsed() < Duration::from_secs(20),
-            "storm never took a lease"
-        );
-        std::thread::yield_now();
-    }
-    let begun = Instant::now();
-    for round in 0..2 {
-        let served = live
-            .query_batch(&live_pairs)
-            .expect("live under legacy storm");
-        assert_bit_identical(&served, &expected, &format!("phase A round {round}"));
-    }
-    let without_cancellation = begun.elapsed();
-    stop.store(true, Ordering::Relaxed);
-    storm.join().expect("legacy storm thread");
+        let begun = Instant::now();
+        for round in 0..2 {
+            let served = live
+                .query_batch(&live_pairs)
+                .expect("live under legacy storm");
+            assert_bit_identical(&served, &expected, &format!("phase A round {round}"));
+        }
+        off_phases.push(begun.elapsed());
+        stop.store(true, Ordering::Relaxed);
+        storm.join().expect("legacy storm thread");
 
-    // Phase B — cancellation ON. Same storm size, 1 ms deadlines: the EWMA
-    // sheds them before they queue and the brownout controller engages.
-    let (stop, storm) = run_storm(Some(Duration::from_millis(1)));
-    let waited = Instant::now();
-    loop {
-        if json_u64(&handle.stats_json(), "brownout_entries") >= 1 {
-            break;
+        // Phase B — cancellation ON. Same storm size, 1 ms deadlines: the EWMA
+        // sheds them before they queue and the brownout controller engages.
+        let (stop, storm) = run_storm(Some(Duration::from_millis(1)));
+        let waited = Instant::now();
+        loop {
+            if json_u64(&handle.stats_json(), "brownout_entries") >= 1 {
+                break;
+            }
+            assert!(
+                waited.elapsed() < Duration::from_secs(20),
+                "brownout never engaged: {}",
+                handle.stats_json()
+            );
+            std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(
-            waited.elapsed() < Duration::from_secs(20),
-            "brownout never engaged: {}",
-            handle.stats_json()
-        );
-        std::thread::sleep(Duration::from_millis(5));
+        let begun = Instant::now();
+        for round in 0..2 {
+            let served = live
+                .query_batch(&live_pairs)
+                .expect("live under deadline storm");
+            assert_bit_identical(&served, &expected, &format!("phase B round {round}"));
+        }
+        on_phases.push(begun.elapsed());
+        stop.store(true, Ordering::Relaxed);
+        storm.join().expect("deadline storm thread");
     }
-    let begun = Instant::now();
-    for round in 0..2 {
-        let served = live
-            .query_batch(&live_pairs)
-            .expect("live under deadline storm");
-        assert_bit_identical(&served, &expected, &format!("phase B round {round}"));
-    }
-    let with_cancellation = begun.elapsed();
-    stop.store(true, Ordering::Relaxed);
-    storm.join().expect("deadline storm thread");
+    let without_cancellation = median(off_phases);
+    let with_cancellation = median(on_phases);
 
     assert!(
         without_cancellation >= with_cancellation * 2,
@@ -427,7 +464,11 @@ fn cancellation_recovers_goodput_under_a_deadline_storm() {
             let served = live.query_batch(&live_pairs).expect("recovery batch");
             assert_bit_identical(&served, &expected, "recovery batch");
         }
-        if json_u64(&handle.stats_json(), "brownout_exits") >= 1 {
+        // Exits catch up with entries once brownout has cleared for good
+        // (the alternating storms may have flipped it more than once).
+        let stats = handle.stats_json();
+        let exits = json_u64(&stats, "brownout_exits");
+        if exits >= 1 && exits == json_u64(&stats, "brownout_entries") {
             break;
         }
         assert!(

@@ -3,8 +3,8 @@
 //! A [`ResistanceBackend`] bundles what a serving deployment actually ships:
 //! a [`ColumnStore`] holding the columns of `Z̃`, the fill-reducing
 //! permutation mapping node ids onto columns, and the policy facts the
-//! engine needs (is a precomputed norm table affordable? is there a page
-//! cache worth reporting on?). The engine is generic over it, so the same
+//! engine needs (is a precomputed norm table affordable? is there a paged
+//! store to schedule batches over?). The engine is generic over it, so the same
 //! batching, pair cache, scratch reuse and worker-pool fan-out serve:
 //!
 //! * [`EffectiveResistanceEstimator`] — the **resident** backend: the arena
@@ -17,7 +17,7 @@
 
 use effres::column_store::ColumnStore;
 use effres::EffectiveResistanceEstimator;
-use effres_io::{PageCacheStats, PagedSnapshot};
+use effres_io::{PagedColumnStore, PagedSnapshot};
 use effres_sparse::Permutation;
 use std::sync::Arc;
 
@@ -50,28 +50,11 @@ pub trait ResistanceBackend: Send + Sync + 'static {
     /// which the trait contract pins to the same bits.
     fn precomputed_norms(&self) -> Option<Arc<Vec<f64>>>;
 
-    /// Page-cache counters accrued since the last
-    /// [`ResistanceBackend::take_page_cache_stats`], for backends that page
-    /// columns in from storage. Resident backends return `None`.
-    fn page_cache_stats(&self) -> Option<PageCacheStats> {
-        None
-    }
-
-    /// Snapshots and resets the page-cache counters (see
-    /// [`effres_io::PagedColumnStore::take_page_cache_stats`]), so batch
-    /// executors can report exact per-batch page traffic. Resident backends
-    /// return `None`.
-    fn take_page_cache_stats(&self) -> Option<PageCacheStats> {
-        None
-    }
-
-    /// The page-pin budget concurrent batch executions must share, for
-    /// backends that pin pages out of a bounded cache: the engine puts an
-    /// [`AdmissionLedger`](crate::admission::AdmissionLedger) of this many
-    /// pages in front of the scheduler so concurrent batches lease capacity
-    /// instead of each assuming they own all of it. Resident backends pin
-    /// nothing and return `None`.
-    fn pin_budget_pages(&self) -> Option<usize> {
+    /// The paged column store behind an out-of-core backend, `None` for
+    /// resident ones. It decides the batch plan: the engine runs the
+    /// locality scheduler over it, sizes the admission ledger to its cache
+    /// budget, and reports its page traffic per batch.
+    fn paged_store(&self) -> Option<&PagedColumnStore> {
         None
     }
 }
@@ -121,15 +104,7 @@ impl ResistanceBackend for PagedSnapshot {
         self.store.resident_norms_shared()
     }
 
-    fn page_cache_stats(&self) -> Option<PageCacheStats> {
-        Some(self.store.page_cache_stats())
-    }
-
-    fn take_page_cache_stats(&self) -> Option<PageCacheStats> {
-        Some(self.store.take_page_cache_stats())
-    }
-
-    fn pin_budget_pages(&self) -> Option<usize> {
-        Some(self.store.cache_capacity_pages())
+    fn paged_store(&self) -> Option<&PagedColumnStore> {
+        Some(&self.store)
     }
 }

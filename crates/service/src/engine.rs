@@ -7,6 +7,15 @@
 //! scratch column buffer from a pool-wide free list, in front of a sharded
 //! LRU cache of recent pair results.
 //!
+//! Every batch goes through one call, [`QueryEngine::execute_with`], whose
+//! [`ExecOptions`] choose the failure mode (fail-fast or partial results),
+//! an optional [`CancelToken`], and whether the engine may reorder the
+//! batch. The engine picks the plan: backends with a paged store run the
+//! locality scheduler (see [`crate::scheduler`]), everything else answers
+//! the batch hub-sorted in arrival order. Either way the batch is validated,
+//! admitted against its deadline, run, booked into [`ServiceStats`] and
+//! wrapped into one [`BatchResult`] (or a [`BatchAbort`]).
+//!
 //! The engine is generic over *where the columns live*: the resident
 //! [`EffectiveResistanceEstimator`] backend reads them out of the in-memory
 //! CSC arena behind a precomputed `‖z̃_j‖²` norm table, while the paged
@@ -30,7 +39,7 @@ use crate::cancel::CancelToken;
 use crate::metrics::ServiceTimeEwma;
 use effres::column_store::{self, ColumnStore, HubScratch, KernelStats};
 use effres::{CancelReason, EffectiveResistanceEstimator, EffresError, WorkerPool};
-use effres_io::PageCacheStats;
+use effres_io::{PageCacheStats, PagedColumnStore};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -55,11 +64,11 @@ pub struct EngineOptions {
     /// estimator build used (`EffresConfig::with_worker_pool`) so the whole
     /// pipeline shares one set of workers.
     pub pool: Option<WorkerPool>,
-    /// Readahead window of the locality-scheduled paged batch path
-    /// (`QueryEngine::<PagedSnapshot>::execute_scheduled`), in pages: how
-    /// many upcoming non-resident pages each scheduling step pins with one
-    /// coalesced read. `0` (the default) sizes the window automatically from
-    /// the store's cache budget. Resident backends ignore it.
+    /// Readahead window of the locality scheduler (paged backends), in
+    /// pages: how many upcoming non-resident pages each scheduling step pins
+    /// with one coalesced read. `0` (the default) sizes the window
+    /// automatically from the store's cache budget. Resident backends
+    /// ignore it.
     pub readahead_pages: usize,
     /// Bound on the admission ledger's queue depth for scheduled paged
     /// batches. `None` (the default) keeps the PR-5 behavior — lease
@@ -91,7 +100,52 @@ impl Default for EngineOptions {
     }
 }
 
+/// How [`QueryEngine::execute_with`] runs one batch. The default is
+/// fail-fast, no cancellation token, scheduling allowed — what
+/// [`QueryEngine::execute`] uses.
+#[derive(Debug, Clone)]
+pub struct ExecOptions {
+    /// Partial-results mode: no single failure aborts the batch. An invalid
+    /// pair fails with [`EffresError::NodeOutOfBounds`], a pair touching a
+    /// page the store cannot produce fails with
+    /// [`EffresError::StoreFailure`], and every other query still succeeds
+    /// with the value a fail-fast run would have returned (same kernels,
+    /// same order). The outcome of every slot lands in
+    /// [`BatchResult::statuses`]. Off (fail-fast), every pair is validated
+    /// before any work and the first failure aborts the batch.
+    pub partial: bool,
+    /// A cancellation token, checked at chunk boundaries (between pairs in
+    /// arrival order; per block and readahead wave in the locality
+    /// scheduler), never mid-kernel. A token that has already tripped, or
+    /// whose deadline the service-time EWMA says cannot be met, rejects the
+    /// batch up front ([`CancelReason::Unmeetable`]). A trip mid-batch types
+    /// the abandoned tail [`EffresError::DeadlineExceeded`]: partial mode
+    /// keeps the answered prefix, fail-fast mode reports a [`BatchAbort`].
+    pub cancel: Option<Arc<CancelToken>>,
+    /// Lets the engine run the locality scheduler when the backend has a
+    /// paged store. `false` keeps arrival order — the same bits with far more
+    /// page traffic, kept as the reference the scheduler is checked against.
+    pub schedule: bool,
+}
+
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            partial: false,
+            cancel: None,
+            schedule: true,
+        }
+    }
+}
+
 /// Cumulative service counters (monotonic across the engine's lifetime).
+///
+/// Every batch books once, on whichever path it leaves
+/// [`QueryEngine::execute_with`]: a batch that passed validation and
+/// deadline admission adds one to `batches`, and `queries` grows by the
+/// number of slots it returned `Ok` — all of them for a complete batch, the
+/// successful slots of a partial batch, none for a batch that aborted. A
+/// batch rejected by validation or deadline admission books nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Queries answered (batch and single).
@@ -155,8 +209,16 @@ impl ServiceStats {
 /// Result of one batch execution.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
-    /// Effective resistances, in the order of the batch's pairs.
+    /// Effective resistances, in the order of the batch's pairs; `0.0` at
+    /// slots that failed (partial mode only — a fail-fast result has no
+    /// failed slots).
     pub values: Vec<f64>,
+    /// Per-query outcome, in the order of the batch's pairs, recorded in
+    /// partial mode: the resistance, or the typed error that failed this
+    /// query (out-of-bounds node, a store failure on a page the pair
+    /// touches, admission shed, cancellation). Empty for fail-fast results,
+    /// whose every slot succeeded.
+    pub statuses: Vec<Result<f64, EffresError>>,
     /// Wall-clock execution time.
     pub elapsed: Duration,
     /// Parallel job chunks the batch fanned out into (1 for the sequential
@@ -185,7 +247,7 @@ pub struct BatchResult {
 }
 
 /// Shape of one locality-scheduled batch execution (see
-/// `QueryEngine::<PagedSnapshot>::execute_scheduled`).
+/// [`crate::scheduler`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScheduleReport {
     /// Distinct `(page_lo, page_hi)` clusters the batch's cache-missing
@@ -205,11 +267,34 @@ impl BatchResult {
         }
         self.values.len() as f64 / self.elapsed.as_secs_f64()
     }
+
+    /// Queries that failed.
+    pub fn failures(&self) -> usize {
+        self.statuses.iter().filter(|s| s.is_err()).count()
+    }
+
+    /// `true` when every query succeeded.
+    pub fn is_complete(&self) -> bool {
+        self.statuses.iter().all(Result::is_ok)
+    }
+
+    /// Queries this batch never ran because its cancellation token tripped
+    /// (statuses carrying [`EffresError::DeadlineExceeded`]) — the work the
+    /// lifecycle layer reclaimed for live requests.
+    pub fn abandoned_pairs(&self) -> u64 {
+        count_abandoned(&self.statuses)
+    }
 }
 
-/// Why an all-or-nothing batch with a cancellation token produced no
-/// [`BatchResult`], and how much of it never ran — the error type of the
-/// `_with_cancel` execution paths.
+fn count_abandoned(statuses: &[Result<f64, EffresError>]) -> u64 {
+    statuses
+        .iter()
+        .filter(|s| matches!(s, Err(EffresError::DeadlineExceeded { .. })))
+        .count() as u64
+}
+
+/// Why [`QueryEngine::execute_with`] produced no [`BatchResult`], and how
+/// much of the batch never ran.
 ///
 /// `abandoned_pairs` is the reclamation receipt: queries the engine *skipped*
 /// because the token tripped (or the whole batch, when admission judged the
@@ -244,58 +329,16 @@ impl From<EffresError> for BatchAbort {
     }
 }
 
-/// Result of one batch executed in **partial-results mode**
-/// ([`QueryEngine::execute_partial`],
-/// `QueryEngine::<PagedSnapshot>::execute_scheduled_partial`): instead of
-/// one failure aborting the batch, every query carries its own status.
-/// Successful answers are bit-identical to the all-or-nothing paths — the
-/// partial paths run the very same kernels in the very same order; only
-/// failure *handling* differs.
-#[derive(Debug, Clone)]
-pub struct PartialBatchResult {
-    /// Per-query outcome, in the order of the batch's pairs: the resistance,
-    /// or the typed error that failed this query (out-of-bounds node, a
-    /// store failure on a page the pair touches, admission shed).
-    pub statuses: Vec<Result<f64, EffresError>>,
-    /// Wall-clock execution time.
-    pub elapsed: Duration,
-    /// Parallel job chunks the batch fanned out into (1 for the sequential
-    /// path).
-    pub threads: usize,
-    /// Pair-cache hits within this batch.
-    pub cache_hits: u64,
-    /// Pair-cache misses within this batch.
-    pub cache_misses: u64,
-    /// Page traffic of this batch (see [`BatchResult::page_cache`]).
-    pub page_cache: Option<PageCacheStats>,
-    /// Multi-pair kernel traffic of this batch (see
-    /// [`BatchResult::kernel`]).
-    pub kernel: KernelStats,
-    /// How the locality scheduler organized this batch (scheduled paged
-    /// executions only).
-    pub schedule: Option<ScheduleReport>,
-}
-
-impl PartialBatchResult {
-    /// Queries that failed.
-    pub fn failures(&self) -> usize {
-        self.statuses.iter().filter(|s| s.is_err()).count()
-    }
-
-    /// `true` when every query succeeded.
-    pub fn is_complete(&self) -> bool {
-        self.statuses.iter().all(Result::is_ok)
-    }
-
-    /// Queries this batch never ran because its cancellation token tripped
-    /// (statuses carrying [`EffresError::DeadlineExceeded`]) — the work the
-    /// lifecycle layer reclaimed for live requests.
-    pub fn abandoned_pairs(&self) -> u64 {
-        self.statuses
-            .iter()
-            .filter(|s| matches!(s, Err(EffresError::DeadlineExceeded { .. })))
-            .count() as u64
-    }
+/// What one run of a batch produced, before it is booked and wrapped: a
+/// status per slot (fail-fast runs stop at their first failure and leave
+/// `Ok(0.0)` placeholders behind it) plus the run's counters.
+pub(crate) struct Run {
+    pub(crate) statuses: Vec<Result<f64, EffresError>>,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) kernel: KernelStats,
+    pub(crate) threads: usize,
+    pub(crate) schedule: Option<ScheduleReport>,
 }
 
 /// Shards of the scratch free list: enough that concurrent batch jobs
@@ -319,9 +362,9 @@ pub(crate) struct EngineCore<B: ResistanceBackend> {
     pub(crate) norms: Option<Arc<Vec<f64>>>,
     pub(crate) cache: Option<ShardedLru>,
     /// The pin-budget ledger concurrent scheduled batches lease capacity
-    /// from, for backends that pin pages out of a bounded cache
-    /// ([`ResistanceBackend::pin_budget_pages`]); `None` for resident
-    /// backends, which pin nothing.
+    /// from, sized to the cache of the backend's paged store
+    /// ([`ResistanceBackend::paged_store`]); `None` for resident backends,
+    /// which pin nothing.
     pub(crate) admission: Option<Arc<AdmissionLedger>>,
     /// Reusable hub-scratch columns (see [`HubScratch`]), sharded so
     /// parallel batch jobs don't serialize on one free-list lock: each job
@@ -388,20 +431,20 @@ pub struct QueryEngine<B: ResistanceBackend = EffectiveResistanceEstimator> {
     /// The engine's own pool, created lazily on the first parallel batch
     /// when no shared pool was configured.
     owned_pool: OnceLock<WorkerPool>,
-    pub(crate) queries: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) cache_misses: AtomicU64,
+    queries: AtomicU64,
+    batches: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
     /// Page traffic drained from the backend's snapshot/reset counters by
     /// finished batches, so cumulative [`ServiceStats`] survive the
     /// per-batch resets.
-    pub(crate) drained_page_stats: Mutex<PageCacheStats>,
+    drained_page_stats: Mutex<PageCacheStats>,
     /// Service counters drained by [`QueryEngine::take_service_stats`], so
     /// cumulative [`QueryEngine::stats`] survive the per-interval resets.
     drained_service_stats: Mutex<ServiceStats>,
     /// Smoothed per-pair service time of completed batches, feeding the
-    /// doomed-deadline check of the `_with_cancel` paths.
-    pub(crate) service_time: ServiceTimeEwma,
+    /// doomed-deadline check of [`ExecOptions::cancel`].
+    service_time: ServiceTimeEwma,
     /// Brownout flag (set by the server's overload controller): while on,
     /// the locality scheduler trims its readahead windows to the minimum so
     /// a pressured cache stops speculating.
@@ -433,11 +476,12 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         } else {
             None
         };
-        // The ledger needs at least two pages (one per side of a pair), the
-        // same floor the scheduler's own budget math applies.
+        // Concurrent scheduled batches share the paged store's cache budget
+        // through the ledger. It needs at least two pages (one per side of a
+        // pair), the same floor the scheduler's own budget math applies.
         let admission = backend
-            .pin_budget_pages()
-            .map(|budget| Arc::new(AdmissionLedger::new(budget.max(2))));
+            .paged_store()
+            .map(|store| Arc::new(AdmissionLedger::new(store.cache_capacity_pages().max(2))));
         QueryEngine {
             core: Arc::new(EngineCore {
                 backend,
@@ -497,33 +541,61 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         }
     }
 
+    /// Snapshots and resets the paged store's page counters (`None` for
+    /// resident backends).
+    fn take_page_counters(&self) -> Option<PageCacheStats> {
+        self.core
+            .backend
+            .paged_store()
+            .map(PagedColumnStore::take_page_cache_stats)
+    }
+
+    /// Folds page counters into the cumulative pool.
+    fn drain_page_counters(&self, delta: PageCacheStats) {
+        let mut drained = self
+            .drained_page_stats
+            .lock()
+            .expect("page stats lock poisoned");
+        *drained = drained.merged(delta);
+    }
+
     /// Cumulative service counters: the page-cache figures combine what
     /// finished batches drained from the backend's snapshot/reset counters
     /// with whatever has accrued since (single queries, an in-flight batch),
     /// and the service counters survive [`QueryEngine::take_service_stats`]
     /// windows the same way.
     pub fn stats(&self) -> ServiceStats {
-        let live = self.live_service_stats();
+        let live = self
+            .core
+            .backend
+            .paged_store()
+            .map(PagedColumnStore::page_cache_stats)
+            .unwrap_or_default();
+        let page = self
+            .drained_page_stats
+            .lock()
+            .expect("page stats lock poisoned")
+            .merged(live);
+        let live = self.service_counters(page, |counter| counter.load(Ordering::Relaxed));
         self.drained_service_stats
             .lock()
             .expect("service stats lock poisoned")
             .merged(live)
     }
 
-    /// Counters accrued since the last [`QueryEngine::take_service_stats`]
-    /// window (or since construction).
-    fn live_service_stats(&self) -> ServiceStats {
-        let live = self.core.backend.page_cache_stats().unwrap_or_default();
-        let page = self
-            .drained_page_stats
-            .lock()
-            .expect("page stats lock poisoned")
-            .merged(live);
+    /// The engine's counters plus `page`, each read through `read` (a load
+    /// for [`QueryEngine::stats`], a swap for
+    /// [`QueryEngine::take_service_stats`]).
+    fn service_counters(
+        &self,
+        page: PageCacheStats,
+        read: impl Fn(&AtomicU64) -> u64,
+    ) -> ServiceStats {
         ServiceStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            queries: read(&self.queries),
+            batches: read(&self.batches),
+            cache_hits: read(&self.cache_hits),
+            cache_misses: read(&self.cache_misses),
             cache_entries: self.core.cache.as_ref().map_or(0, ShardedLru::len),
             cache_capacity: self.core.cache.as_ref().map_or(0, ShardedLru::capacity),
             page_cache_hits: page.hits,
@@ -550,12 +622,8 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     pub fn take_service_stats(&self) -> ServiceStats {
         // Drain the backend's live page counters into the per-engine pool
         // first, then empty the pool into the interval delta.
-        if let Some(live) = self.core.backend.take_page_cache_stats() {
-            let mut drained = self
-                .drained_page_stats
-                .lock()
-                .expect("page stats lock poisoned");
-            *drained = drained.merged(live);
+        if let Some(live) = self.take_page_counters() {
+            self.drain_page_counters(live);
         }
         let page = std::mem::take(
             &mut *self
@@ -563,20 +631,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                 .lock()
                 .expect("page stats lock poisoned"),
         );
-        let delta = ServiceStats {
-            queries: self.queries.swap(0, Ordering::Relaxed),
-            batches: self.batches.swap(0, Ordering::Relaxed),
-            cache_hits: self.cache_hits.swap(0, Ordering::Relaxed),
-            cache_misses: self.cache_misses.swap(0, Ordering::Relaxed),
-            cache_entries: self.core.cache.as_ref().map_or(0, ShardedLru::len),
-            cache_capacity: self.core.cache.as_ref().map_or(0, ShardedLru::capacity),
-            page_cache_hits: page.hits,
-            page_cache_misses: page.misses,
-            page_bytes_read: page.bytes_read,
-            page_readahead_reads: page.readahead_reads,
-            page_retries: page.retries,
-            page_faulted_reads: page.faulted_reads,
-        };
+        let delta = self.service_counters(page, |counter| counter.swap(0, Ordering::Relaxed));
         let mut pool = self
             .drained_service_stats
             .lock()
@@ -589,31 +644,6 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     /// pages out of a bounded cache; `None` for resident backends.
     pub fn admission_stats(&self) -> Option<AdmissionStats> {
         self.core.admission.as_deref().map(AdmissionLedger::stats)
-    }
-
-    /// Opens a per-batch page-traffic window: counters accrued *before* the
-    /// batch (single queries, stats polling) are drained into the cumulative
-    /// pool so the close-of-window delta is the batch's own traffic.
-    pub(crate) fn begin_page_window(&self) {
-        if let Some(stray) = self.core.backend.take_page_cache_stats() {
-            let mut drained = self
-                .drained_page_stats
-                .lock()
-                .expect("page stats lock poisoned");
-            *drained = drained.merged(stray);
-        }
-    }
-
-    /// Closes a per-batch window: returns the batch's page traffic and folds
-    /// it into the cumulative pool.
-    pub(crate) fn end_page_window(&self) -> Option<PageCacheStats> {
-        let delta = self.core.backend.take_page_cache_stats()?;
-        let mut drained = self
-            .drained_page_stats
-            .lock()
-            .expect("page stats lock poisoned");
-        *drained = drained.merged(delta);
-        Some(delta)
     }
 
     /// Answers one query through the cache and the norm identity.
@@ -653,197 +683,132 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         Ok(value)
     }
 
-    /// Executes a batch, in parallel when it is large enough.
-    ///
-    /// Every pair is validated before any work starts; on a validation error
-    /// no query has run. Results come back in the batch's original pair
-    /// order.
+    /// [`QueryEngine::execute_with`] with the default [`ExecOptions`]:
+    /// fail-fast, no token, scheduled when the backend has a paged store.
     ///
     /// # Errors
     ///
     /// Returns [`EffresError::NodeOutOfBounds`] naming the first invalid
-    /// node, or [`EffresError::StoreFailure`] if an out-of-core backend
-    /// failed mid-batch (in which case the batch produced no values).
+    /// node (no query has run), [`EffresError::StoreFailure`] if an
+    /// out-of-core backend failed mid-batch, or [`EffresError::Busy`] if
+    /// bounded admission shed the batch.
     pub fn execute(&self, batch: &QueryBatch) -> Result<BatchResult, EffresError> {
-        let n = self.core.backend.node_count();
-        for &(p, q) in batch.pairs() {
-            if p >= n || q >= n {
-                return Err(EffresError::NodeOutOfBounds {
-                    node: p.max(q),
-                    node_count: n,
-                });
-            }
-        }
-        let threads = self.effective_threads(batch.len());
-        self.begin_page_window();
-        let start = Instant::now();
-        let (values, hits, misses, kernel) = self.run_parallel(batch.pairs(), threads)?;
-        let elapsed = start.elapsed();
-        self.queries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-        self.service_time.record(batch.len(), elapsed);
-        Ok(BatchResult {
-            values,
-            elapsed,
-            threads,
-            cache_hits: hits,
-            cache_misses: misses,
-            page_cache: self.end_page_window(),
-            kernel,
-            schedule: None,
-        })
+        self.execute_with(batch, &ExecOptions::default())
+            .map_err(|abort| abort.error)
     }
 
-    /// Executes a batch in **partial-results mode**: no single failure
-    /// aborts the batch. Every query gets its own status — an invalid pair
-    /// fails with [`EffresError::NodeOutOfBounds`], a pair touching a page
-    /// the store cannot produce fails with [`EffresError::StoreFailure`],
-    /// and every other query still succeeds, with values bit-identical to
-    /// what [`QueryEngine::execute`] would have returned for it (same
-    /// kernels, same order; see `tests/` for the pinning property tests).
+    /// Executes a batch — the one batch entry point. Results come back in
+    /// the batch's original pair order, bit-identical whatever the plan,
+    /// the mode or the thread count.
     ///
-    /// This is the serving mode of a long-lived server: one poisoned page
-    /// degrades the answers that touch it instead of killing 20k-query
-    /// batches wholesale.
-    pub fn execute_partial(&self, batch: &QueryBatch) -> PartialBatchResult {
-        self.execute_partial_inner(batch, None)
-    }
-
-    /// [`QueryEngine::execute`] with a cancellation token: the run checks
-    /// `cancel` at every chunk boundary (between pairs of a job slice, never
-    /// mid-kernel) and stops as soon as it trips, releasing scratch and page
-    /// budget with the abandoned tail. On cancellation the whole batch
-    /// reports as a [`BatchAbort`] carrying the [`CancelReason`] and how many
-    /// pairs never ran; answers produced before the trip went through exactly
-    /// the kernel calls a completed run would have made, they are just not
-    /// returned (the all-or-nothing contract — use
-    /// [`execute_partial_with_cancel`](Self::execute_partial_with_cancel) to
-    /// keep the prefix).
+    /// The sequence is the same for every batch: validate (fail-fast mode
+    /// only; partial mode fails invalid pairs per slot), admit against the
+    /// token's deadline, run — through the locality scheduler when the
+    /// backend has a paged store and `opts.schedule` allows it, hub-sorted
+    /// in arrival order otherwise — then book [`ServiceStats`] (see its
+    /// counting rule) and wrap.
     ///
-    /// When the token carries a deadline and the engine has a service-time
-    /// estimate, a *doomed* batch — estimated time already past the deadline
-    /// — is rejected up front ([`CancelReason::Unmeetable`]) without touching
-    /// the admission queue.
-    pub fn execute_with_cancel(
+    /// # Errors
+    ///
+    /// A [`BatchAbort`] when validation fails, the deadline is judged
+    /// unmeetable or the token has already tripped (the whole batch counts
+    /// as abandoned), bounded admission sheds the batch before anything ran
+    /// ([`EffresError::Busy`]), or — in fail-fast mode — any query fails or
+    /// the token trips mid-batch.
+    pub fn execute_with(
         &self,
         batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
+        opts: &ExecOptions,
     ) -> Result<BatchResult, BatchAbort> {
-        let n = self.core.backend.node_count();
-        for &(p, q) in batch.pairs() {
-            if p >= n || q >= n {
-                return Err(BatchAbort::from(EffresError::NodeOutOfBounds {
-                    node: p.max(q),
-                    node_count: n,
-                }));
-            }
+        if !opts.partial {
+            self.validate(batch)?;
         }
-        if let Err(error) = self.admit_deadline(batch, cancel) {
-            return Err(BatchAbort {
-                error,
-                abandoned_pairs: batch.len() as u64,
-            });
+        if let Some(cancel) = &opts.cancel {
+            self.admit_deadline(batch, cancel)
+                .map_err(|error| BatchAbort {
+                    error,
+                    abandoned_pairs: batch.len() as u64,
+                })?;
         }
-        let threads = self.effective_threads(batch.len());
         self.begin_page_window();
         let start = Instant::now();
-        let run = self.run_parallel_statuses(batch.pairs(), threads, true, Some(cancel));
-        let elapsed = start.elapsed();
-        let (statuses, hits, misses, kernel) = match run {
-            Ok(out) => out,
-            Err(error) => {
-                self.end_page_window();
-                return Err(BatchAbort::from(error));
-            }
+        let run = match self.core.backend.paged_store() {
+            Some(store) if opts.schedule => self.run_scheduled(batch, store, opts),
+            _ => Ok(self.run_arrival(batch, opts)),
         };
-        // In fail-fast mode a non-cancellation failure aborted above, so any
-        // `Err` statuses here are the cancelled tail.
-        let abandoned = statuses.iter().filter(|s| s.is_err()).count() as u64;
-        self.queries
-            .fetch_add(batch.len() as u64 - abandoned, Ordering::Relaxed);
+        let elapsed = start.elapsed();
+        let page_cache = self.end_page_window();
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-        if abandoned > 0 {
-            self.end_page_window();
-            let error = statuses
+        let run = run?;
+        self.cache_hits.fetch_add(run.hits, Ordering::Relaxed);
+        self.cache_misses.fetch_add(run.misses, Ordering::Relaxed);
+        let answered = run.statuses.iter().filter(|s| s.is_ok()).count();
+        if !opts.partial && answered < batch.len() {
+            let abandoned_pairs = count_abandoned(&run.statuses);
+            let error = run
+                .statuses
                 .into_iter()
                 .find_map(Result::err)
-                .expect("an abandoned batch has an Err status");
+                .expect("a short fail-fast run carries its error");
             return Err(BatchAbort {
                 error,
-                abandoned_pairs: abandoned,
+                abandoned_pairs,
             });
         }
-        self.service_time.record(batch.len(), elapsed);
+        self.queries.fetch_add(answered as u64, Ordering::Relaxed);
+        if answered == batch.len() {
+            self.service_time.record(batch.len(), elapsed);
+        }
+        let (values, statuses) = if opts.partial {
+            let values = run.statuses.iter().map(|s| *s.as_ref().unwrap_or(&0.0));
+            (values.collect(), run.statuses)
+        } else {
+            // Every slot is `Ok`; consuming the statuses reuses their buffer.
+            let values = run.statuses.into_iter().map(|s| s.unwrap_or(0.0));
+            (values.collect(), Vec::new())
+        };
         Ok(BatchResult {
-            values: statuses
-                .into_iter()
-                .map(|s| s.expect("no Err statuses survive the abandoned check"))
-                .collect(),
+            values,
+            statuses,
             elapsed,
-            threads,
-            cache_hits: hits,
-            cache_misses: misses,
-            page_cache: self.end_page_window(),
-            kernel,
-            schedule: None,
+            threads: run.threads,
+            cache_hits: run.hits,
+            cache_misses: run.misses,
+            page_cache,
+            kernel: run.kernel,
+            schedule: run.schedule,
         })
     }
 
-    /// [`QueryEngine::execute_partial`] with a cancellation token: when the
-    /// token trips mid-batch, queries answered before the trip keep their
-    /// (bit-identical) values and the abandoned tail carries
-    /// [`EffresError::DeadlineExceeded`] statuses — count them with
-    /// [`PartialBatchResult::abandoned_pairs`]. A batch judged doomed up
-    /// front (deadline closer than the estimated service time) is rejected
-    /// as a whole with `Err`.
-    pub fn execute_partial_with_cancel(
-        &self,
-        batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
-    ) -> Result<PartialBatchResult, EffresError> {
-        self.admit_deadline(batch, cancel)?;
-        Ok(self.execute_partial_inner(batch, Some(cancel)))
-    }
-
-    fn execute_partial_inner(
-        &self,
-        batch: &QueryBatch,
-        cancel: Option<&Arc<CancelToken>>,
-    ) -> PartialBatchResult {
-        let threads = self.effective_threads(batch.len());
-        self.begin_page_window();
-        let start = Instant::now();
-        let (statuses, hits, misses, kernel) = self
-            .run_parallel_statuses(batch.pairs(), threads, false, cancel)
-            .expect("partial-mode run never aborts");
-        let elapsed = start.elapsed();
-        self.queries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-        let result = PartialBatchResult {
-            statuses,
-            elapsed,
-            threads,
-            cache_hits: hits,
-            cache_misses: misses,
-            page_cache: self.end_page_window(),
-            kernel,
-            schedule: None,
-        };
-        if result.is_complete() {
-            self.service_time.record(batch.len(), elapsed);
+    fn validate(&self, batch: &QueryBatch) -> Result<(), EffresError> {
+        let n = self.core.backend.node_count();
+        match batch.pairs().iter().find(|&&(p, q)| p >= n || q >= n) {
+            Some(&(p, q)) => Err(EffresError::NodeOutOfBounds {
+                node: p.max(q),
+                node_count: n,
+            }),
+            None => Ok(()),
         }
-        result
     }
 
-    /// The doomed-deadline gate of every `_with_cancel` path: an
+    /// Opens a per-batch page-traffic window: counters accrued *before* the
+    /// batch (single queries, stats polling) are drained into the cumulative
+    /// pool so the close-of-window delta is the batch's own traffic.
+    fn begin_page_window(&self) {
+        if let Some(stray) = self.take_page_counters() {
+            self.drain_page_counters(stray);
+        }
+    }
+
+    /// Closes a per-batch window: returns the batch's page traffic and folds
+    /// it into the cumulative pool.
+    fn end_page_window(&self) -> Option<PageCacheStats> {
+        let delta = self.take_page_counters()?;
+        self.drain_page_counters(delta);
+        Some(delta)
+    }
+
+    /// The doomed-deadline gate of [`ExecOptions::cancel`]: an
     /// already-tripped token fails immediately, and a deadline the
     /// service-time EWMA says cannot be met is shed up front
     /// ([`CancelReason::Unmeetable`]) — through the admission ledger when the
@@ -851,11 +816,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     /// [`AdmissionStats::shed_doomed`]), directly otherwise. With no
     /// estimate yet (cold engine) every deadline is admitted: the gate only
     /// sheds on evidence.
-    pub(crate) fn admit_deadline(
-        &self,
-        batch: &QueryBatch,
-        cancel: &CancelToken,
-    ) -> Result<(), EffresError> {
+    fn admit_deadline(&self, batch: &QueryBatch, cancel: &CancelToken) -> Result<(), EffresError> {
         cancel.check()?;
         let Some(deadline) = cancel.deadline() else {
             return Ok(());
@@ -892,35 +853,16 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         configured.min(batch_len.div_ceil(256)).max(1)
     }
 
-    #[allow(clippy::type_complexity)]
-    fn run_parallel(
-        &self,
-        pairs: &[(usize, usize)],
-        threads: usize,
-    ) -> Result<(Vec<f64>, u64, u64, KernelStats), EffresError> {
-        let (statuses, hits, misses, kernel) =
-            self.run_parallel_statuses(pairs, threads, true, None)?;
-        let values = statuses
-            .into_iter()
-            .map(|s| s.expect("fail-fast parallel run aborts on the first error"))
-            .collect();
-        Ok((values, hits, misses, kernel))
-    }
-
-    /// The status-returning batch path, sequential (`threads <= 1`) or
-    /// parallel. Both modes sort and scatter back identically — the
-    /// sequential mode just answers the whole sorted batch inline instead of
-    /// dispatching chunk jobs to the pool — so values are bit-identical
-    /// across modes. Sorting even the sequential batch is what lets the
-    /// hub-run kernel engage on a single worker.
-    #[allow(clippy::type_complexity)]
-    fn run_parallel_statuses(
-        &self,
-        pairs: &[(usize, usize)],
-        threads: usize,
-        fail_fast: bool,
-        cancel: Option<&Arc<CancelToken>>,
-    ) -> Result<(Vec<Result<f64, EffresError>>, u64, u64, KernelStats), EffresError> {
+    /// The arrival-order plan, sequential (`threads <= 1`) or parallel.
+    /// Both modes sort and scatter back identically — the sequential mode
+    /// just answers the whole sorted batch inline instead of dispatching
+    /// chunk jobs to the pool — so values are bit-identical across modes.
+    /// Sorting even the sequential batch is what lets the hub-run kernel
+    /// engage on a single worker.
+    fn run_arrival(&self, batch: &QueryBatch, opts: &ExecOptions) -> Run {
+        let pairs = batch.pairs();
+        let threads = self.effective_threads(pairs.len());
+        let fail_fast = !opts.partial;
         // Sort query indices by **permuted** normalized pair so queries
         // sharing a permuted endpoint land in the same chunk and reuse the
         // scattered column (and, on the paged backend, the same decoded
@@ -952,7 +894,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                 &sorted_pairs,
                 &mut scratch,
                 fail_fast,
-                cancel.map(Arc::as_ref),
+                opts.cancel.as_deref(),
             );
             self.core.return_scratch(0, scratch);
             vec![out]
@@ -970,7 +912,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                     let hi = (lo + chunk_len).min(sorted_pairs.len());
                     let core = Arc::clone(&self.core);
                     let sorted_pairs = Arc::clone(&sorted_pairs);
-                    let cancel = cancel.map(Arc::clone);
+                    let cancel = opts.cancel.clone();
                     move || {
                         let mut scratch = core.take_scratch(job);
                         let out = core.run_slice_statuses(
@@ -987,12 +929,9 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             self.worker_pool().run(jobs)
         };
 
-        let mut sorted_statuses = Vec::with_capacity(sorted_pairs.len());
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut kernel = KernelStats::default();
-        for result in results {
-            let (statuses, h, m, k) = result?;
+        let mut sorted_statuses = Vec::with_capacity(pairs.len());
+        let (mut hits, mut misses, mut kernel) = (0u64, 0u64, KernelStats::default());
+        for (statuses, h, m, k) in results {
             sorted_statuses.extend(statuses);
             hits += h;
             misses += m;
@@ -1003,7 +942,14 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         for (&original, status) in order.iter().zip(sorted_statuses) {
             statuses[original as usize] = status;
         }
-        Ok((statuses, hits, misses, kernel))
+        Run {
+            statuses,
+            hits,
+            misses,
+            kernel,
+            threads,
+            schedule: None,
+        }
     }
 }
 
@@ -1013,12 +959,12 @@ pub(crate) fn cache_key(p: usize, q: usize) -> u64 {
 }
 
 impl<B: ResistanceBackend> EngineCore<B> {
-    /// The status-returning heart of both batch modes: answers `pairs` in
-    /// order, producing a per-query `Result`. With `fail_fast` the first
-    /// failure aborts the slice (the all-or-nothing contract of
-    /// [`QueryEngine::execute`]); without it the failure is recorded as that
-    /// query's status and the slice continues — the partial-results
-    /// contract. Both modes run the **same kernels in the same order**, so
+    /// The status-returning heart of the arrival-order plan: answers `pairs`
+    /// in order, producing one `Result` per query. With `fail_fast` the
+    /// first failure ends the slice (the queries behind it keep `Ok(0.0)`
+    /// placeholders — the batch aborts, so they are never returned); without
+    /// it the failure is recorded as that query's status and the slice
+    /// continues. Both modes run the **same kernels in the same order**, so
     /// the values a query succeeds with are bit-identical regardless of
     /// mode and of failures elsewhere in the slice (a failed scratch load
     /// leaves the scratch empty, which only means the next run re-scatters —
@@ -1026,11 +972,9 @@ impl<B: ResistanceBackend> EngineCore<B> {
     ///
     /// A `cancel` token is checked **between pairs, never mid-kernel**: when
     /// it trips, the pair about to run and everything after it get
-    /// [`EffresError::DeadlineExceeded`] statuses and the slice stops — in
-    /// *both* modes (cancellation is stop-and-report, not a fault, so even
-    /// fail-fast slices return `Ok` and let the caller account the
-    /// abandoned tail). Answers produced before the trip are untouched,
-    /// which keeps them bit-identical to an uncancelled run.
+    /// [`EffresError::DeadlineExceeded`] statuses and the slice stops.
+    /// Answers produced before the trip are untouched, which keeps them
+    /// bit-identical to an uncancelled run.
     #[allow(clippy::type_complexity)]
     fn run_slice_statuses(
         &self,
@@ -1038,7 +982,7 @@ impl<B: ResistanceBackend> EngineCore<B> {
         scratch: &mut HubScratch,
         fail_fast: bool,
         cancel: Option<&CancelToken>,
-    ) -> Result<(Vec<Result<f64, EffresError>>, u64, u64, KernelStats), EffresError> {
+    ) -> (Vec<Result<f64, EffresError>>, u64, u64, KernelStats) {
         let mut statuses = Vec::with_capacity(pairs.len());
         let mut hits = 0u64;
         let mut misses = 0u64;
@@ -1053,14 +997,13 @@ impl<B: ResistanceBackend> EngineCore<B> {
                 break;
             }
             if p >= n || q >= n {
-                let err = EffresError::NodeOutOfBounds {
+                statuses.push(Err(EffresError::NodeOutOfBounds {
                     node: p.max(q),
                     node_count: n,
-                };
+                }));
                 if fail_fast {
-                    return Err(err);
+                    break;
                 }
-                statuses.push(Err(err));
                 continue;
             }
             if p == q {
@@ -1112,14 +1055,15 @@ impl<B: ResistanceBackend> EngineCore<B> {
                     statuses.push(Ok(value));
                 }
                 Err(err) => {
-                    if fail_fast {
-                        return Err(err);
-                    }
                     statuses.push(Err(err));
+                    if fail_fast {
+                        break;
+                    }
                 }
             }
         }
-        Ok((statuses, hits, misses, scratch.take_stats()))
+        statuses.resize_with(pairs.len(), || Ok(0.0));
+        (statuses, hits, misses, scratch.take_stats())
     }
 }
 
@@ -1128,6 +1072,13 @@ mod tests {
     use super::*;
     use effres::EffresConfig;
     use effres_graph::generators;
+
+    fn with_token(cancel: &Arc<CancelToken>) -> ExecOptions {
+        ExecOptions {
+            cancel: Some(Arc::clone(cancel)),
+            ..ExecOptions::default()
+        }
+    }
 
     fn engine_for(nodes: usize, options: EngineOptions) -> QueryEngine {
         let side = (nodes as f64).sqrt() as usize;
@@ -1326,9 +1277,7 @@ mod tests {
         assert_eq!(value, 0.0, "clamped exactly to zero, not {unclamped}");
         // The batch kernel path applies the same clamp.
         let mut scratch = HubScratch::new(n);
-        let (statuses, _, _, _) = core
-            .run_slice_statuses(&[(a, b)], &mut scratch, true, None)
-            .expect("slice");
+        let (statuses, _, _, _) = core.run_slice_statuses(&[(a, b)], &mut scratch, true, None);
         assert_eq!(*statuses[0].as_ref().expect("status"), 0.0);
     }
 
@@ -1339,7 +1288,9 @@ mod tests {
         let cancel = Arc::new(CancelToken::unbounded());
         cancel.cancel(CancelReason::Disconnected);
         let before = engine.stats();
-        let abort = engine.execute_with_cancel(&batch, &cancel).unwrap_err();
+        let abort = engine
+            .execute_with(&batch, &with_token(&cancel))
+            .unwrap_err();
         assert_eq!(
             abort.error,
             EffresError::DeadlineExceeded {
@@ -1365,7 +1316,7 @@ mod tests {
         let reference = engine.execute(&batch).expect("reference");
         let cancel = Arc::new(CancelToken::after(Duration::from_secs(3600)));
         let result = engine
-            .execute_with_cancel(&batch, &cancel)
+            .execute_with(&batch, &with_token(&cancel))
             .expect("nowhere near the deadline");
         assert_eq!(result.values.len(), reference.values.len());
         for (value, reference) in result.values.iter().zip(&reference.values) {
@@ -1394,7 +1345,15 @@ mod tests {
                 cancel.cancel(CancelReason::Disconnected);
             })
         };
-        let outcome = engine.execute_partial_with_cancel(&batch, &cancel);
+        let outcome = engine
+            .execute_with(
+                &batch,
+                &ExecOptions {
+                    partial: true,
+                    ..with_token(&cancel)
+                },
+            )
+            .map_err(|abort| abort.error);
         canceller.join().expect("canceller");
         match outcome {
             Ok(result) => {
@@ -1433,7 +1392,9 @@ mod tests {
         let batch = QueryBatch::random(100, engine.node_count(), 8);
         let before = engine.stats();
         let cancel = Arc::new(CancelToken::after(Duration::from_secs(5)));
-        let abort = engine.execute_with_cancel(&batch, &cancel).unwrap_err();
+        let abort = engine
+            .execute_with(&batch, &with_token(&cancel))
+            .unwrap_err();
         assert_eq!(
             abort.error,
             EffresError::DeadlineExceeded {

@@ -13,10 +13,14 @@
 //!   arena, or the out-of-core
 //!   [`PagedSnapshot`](effres_io::PagedSnapshot) paging columns in from a
 //!   v2/v3 snapshot file (bit-identical answers either way);
-//! * [`scheduler`] — the locality scheduler for paged batches:
-//!   `QueryEngine::<PagedSnapshot>::execute_scheduled` clusters queries by
-//!   the pages they touch, pins blocks out of the cache budget and sweeps
-//!   the rest with coalesced readahead — same bits, a fraction of the I/O;
+//! * [`engine::ExecOptions`] — how one batch runs through the single entry
+//!   point [`QueryEngine::execute_with`](engine::QueryEngine::execute_with):
+//!   fail-fast or partial results, an optional cancellation token, and
+//!   whether the engine may schedule it;
+//! * [`scheduler`] — the locality scheduler the engine picks for paged
+//!   backends: it clusters queries by the pages they touch, pins blocks out
+//!   of the cache budget and sweeps the rest with coalesced readahead — same
+//!   bits, a fraction of the I/O;
 //! * [`cache::ShardedLru`] — a sharded LRU of recent pair results in front
 //!   of the sparse kernel;
 //! * [`admission::AdmissionLedger`] — cross-batch admission control for the
@@ -67,8 +71,7 @@ pub use batch::QueryBatch;
 pub use cache::ShardedLru;
 pub use cancel::CancelToken;
 pub use engine::{
-    BatchAbort, BatchResult, EngineOptions, PartialBatchResult, QueryEngine, ScheduleReport,
-    ServiceStats,
+    BatchAbort, BatchResult, EngineOptions, ExecOptions, QueryEngine, ScheduleReport, ServiceStats,
 };
 pub use metrics::{HistogramSnapshot, LatencyHistogram, ServiceTimeEwma};
 

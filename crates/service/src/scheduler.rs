@@ -1,6 +1,7 @@
-//! The locality scheduler: batch execution for the paged backend that
-//! reorders queries by the **pages** they touch instead of answering them in
-//! arrival order.
+//! The locality scheduler: the batch plan [`QueryEngine::execute_with`]
+//! picks for backends with a paged store
+//! ([`ResistanceBackend::paged_store`]). It reorders queries by the
+//! **pages** they touch instead of answering them in arrival order.
 //!
 //! Arrival-order paged batches are an I/O disaster: every query touches the
 //! pages of two essentially random columns, so a cache smaller than the file
@@ -10,7 +11,7 @@
 //! Pairwise Effective Resistance"): *amortize every fetched block over all
 //! the queries that need it before letting it go*.
 //!
-//! [`QueryEngine::execute_scheduled`] does that in three steps:
+//! The plan has three steps:
 //!
 //! 1. **Cluster** — each cache-missing query is mapped to its page pair
 //!    `(page_lo, page_hi)` (permuted endpoints, unordered) and the batch is
@@ -43,21 +44,31 @@
 //! **bit-identical** to unscheduled paged — and to resident — execution;
 //! only the evaluation order and the I/O pattern change. Query independence makes that reordering safe by construction,
 //! and the property tests in `tests/io_service_end_to_end.rs` pin it.
+//!
+//! One body serves both failure modes, so the plan — and with it the
+//! evaluation order — cannot depend on the mode. Fail-fast stops at the
+//! first failure. Partial mode degrades instead: block pins go through
+//! [`pin_pages_partial`](effres_io::PagedColumnStore::pin_pages_partial), so
+//! a page the store cannot produce fails only the queries anchored on it,
+//! and a window whose grouped kernel fails is re-run query by query to
+//! isolate the poisoned page pair. Under bounded admission, a shed of the
+//! first block rejects the batch whole ([`EffresError::Busy`]); a later shed
+//! marks the remaining queries `Busy` and keeps what already drained. A
+//! cancellation token is checked at every block and readahead-wave
+//! boundary, where the lease and the pins release by RAII, so a trip frees
+//! page-cache budget for live batches within one chunk and never interrupts
+//! a kernel.
 
 use crate::admission::PinLease;
 use crate::backend::ResistanceBackend;
 use crate::batch::QueryBatch;
 use crate::cancel::CancelToken;
-use crate::engine::{
-    cache_key, BatchAbort, BatchResult, EngineCore, PartialBatchResult, QueryEngine, ScheduleReport,
-};
+use crate::engine::{cache_key, EngineCore, ExecOptions, QueryEngine, Run, ScheduleReport};
 use effres::column_store::{self, KernelStats};
 use effres::EffresError;
-use effres_io::{PagedSnapshot, PinnedPages, PinnedReader};
+use effres_io::{PagedColumnStore, PinnedPages, PinnedReader};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One cache-missing query, resolved into the permuted domain and mapped
 /// onto its page pair.
@@ -75,7 +86,10 @@ struct Pending {
     page_hi: u32,
 }
 
-impl QueryEngine<PagedSnapshot> {
+/// Per-slot statuses of one window: `(slot, outcome)`.
+type WindowStatuses = Vec<(u32, Result<f64, EffresError>)>;
+
+impl<B: ResistanceBackend> QueryEngine<B> {
     /// Leases pin capacity for one block, honoring the engine's admission
     /// bounds: unbounded blocking by default, shedding with a typed
     /// [`EffresError::Busy`] when
@@ -124,74 +138,22 @@ impl QueryEngine<PagedSnapshot> {
         }
     }
 
-    /// Executes a batch through the locality scheduler (see the module
-    /// docs): answers come back in the batch's original pair order and are
-    /// bit-identical to [`QueryEngine::execute`], which remains the
-    /// arrival-order reference path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EffresError::NodeOutOfBounds`] naming the first invalid
-    /// node (no query has run), [`EffresError::StoreFailure`] if the
-    /// store failed mid-batch (in which case the batch produced no values),
-    /// or [`EffresError::Busy`] if bounded admission shed the batch.
-    pub fn execute_scheduled(&self, batch: &QueryBatch) -> Result<BatchResult, EffresError> {
-        self.validate_batch(batch)?;
-        self.execute_scheduled_inner(batch, None)
-            .map_err(|abort| abort.error)
-    }
-
-    /// [`execute_scheduled`](Self::execute_scheduled) with a cancellation
-    /// token, checked at every **block boundary and readahead-wave
-    /// boundary** — the scheduler's natural chunk edges, where the block
-    /// lease, the pinned pages and the window pins all release by RAII, so a
-    /// trip frees page-cache budget for live batches within one chunk and
-    /// never interrupts a kernel (answers already drained went through
-    /// exactly the calls a completed run makes). On cancellation the batch
-    /// reports as a [`BatchAbort`] counting the queries that never drained;
-    /// a deadline the service-time EWMA says cannot be met is shed up front
-    /// through the admission ledger's doomed gate.
-    pub fn execute_scheduled_with_cancel(
+    /// Runs a batch through the locality scheduler (see the module docs).
+    /// Returns `Err` only when bounded admission sheds the **first** block —
+    /// nothing has been computed, so the caller should back off and resubmit
+    /// the batch whole.
+    pub(crate) fn run_scheduled(
         &self,
         batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
-    ) -> Result<BatchResult, BatchAbort> {
-        self.validate_batch(batch)?;
-        if let Err(error) = self.admit_deadline(batch, cancel) {
-            return Err(BatchAbort {
-                error,
-                abandoned_pairs: batch.len() as u64,
-            });
-        }
-        self.execute_scheduled_inner(batch, Some(cancel))
-    }
-
-    fn validate_batch(&self, batch: &QueryBatch) -> Result<(), EffresError> {
+        store: &PagedColumnStore,
+        opts: &ExecOptions,
+    ) -> Result<Run, EffresError> {
         let n = self.core.backend.node_count();
-        for &(p, q) in batch.pairs() {
-            if p >= n || q >= n {
-                return Err(EffresError::NodeOutOfBounds {
-                    node: p.max(q),
-                    node_count: n,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn execute_scheduled_inner(
-        &self,
-        batch: &QueryBatch,
-        cancel: Option<&Arc<CancelToken>>,
-    ) -> Result<BatchResult, BatchAbort> {
-        let n = self.core.backend.node_count();
-        debug_assert!(batch.pairs().iter().all(|&(p, q)| p < n && q < n));
-        self.begin_page_window();
-        let start = Instant::now();
-
-        let store = &self.core.backend.store;
+        let partial = opts.partial;
+        let cancel = opts.cancel.as_deref();
         let permutation = self.core.backend.permutation();
-        let mut values = vec![0.0f64; batch.len()];
+        let mut statuses: Vec<Result<f64, EffresError>> =
+            (0..batch.len()).map(|_| Ok(0.0)).collect();
         let mut hits = 0u64;
         let mut pending: Vec<Pending> = Vec::with_capacity(batch.len());
         // With a pair cache, in-batch repeats of a pair compute once and fan
@@ -206,14 +168,21 @@ impl QueryEngine<PagedSnapshot> {
         let mut first_slot_of: std::collections::HashMap<u64, u32> =
             std::collections::HashMap::new();
         for (slot, &(p, q)) in batch.pairs().iter().enumerate() {
+            if p >= n || q >= n {
+                statuses[slot] = Err(EffresError::NodeOutOfBounds {
+                    node: p.max(q),
+                    node_count: n,
+                });
+                continue;
+            }
             if p == q {
-                continue; // values[slot] stays 0.0
+                continue; // statuses[slot] stays Ok(0.0)
             }
             let key = cache_key(p, q);
             if let Some(cache) = &self.core.cache {
                 if let Some(value) = cache.get(key) {
                     hits += 1;
-                    values[slot] = value;
+                    statuses[slot] = Ok(value);
                     continue;
                 }
                 if let Some(&first) = first_slot_of.get(&key) {
@@ -297,15 +266,14 @@ impl QueryEngine<PagedSnapshot> {
         let mut kernel = KernelStats::default();
         let mut parallel_fan = 1usize;
         let mut at = 0usize;
-        let total_pending = pending.len();
-        while at < total_pending {
+        'blocks: while at < pending.len() {
             // Block boundary: the cheapest place to notice a tripped token —
             // no lease held, nothing pinned, everything after `at` unread.
-            if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                return Err(BatchAbort {
-                    error: EffresError::DeadlineExceeded { reason },
-                    abandoned_pairs: (total_pending - at) as u64,
-                });
+            if let Some(reason) = cancel.and_then(CancelToken::cancelled) {
+                for t in &pending[at..] {
+                    statuses[t.slot as usize] = Err(EffresError::DeadlineExceeded { reason });
+                }
+                break;
             }
             let desired = if distinct_lo_from[at] >= full_block_cap {
                 budget
@@ -316,18 +284,18 @@ impl QueryEngine<PagedSnapshot> {
             // one window page. The lease blocks until capacity is free and
             // returns it when dropped at the end of the block (or sheds
             // with `Busy` under bounded admission).
-            let lease = match self.lease_block(desired, cancel.map(Arc::as_ref)) {
+            let lease = match self.lease_block(desired, cancel) {
                 Ok(lease) => lease,
-                Err(error) => {
-                    let abandoned = if matches!(error, EffresError::DeadlineExceeded { .. }) {
-                        (total_pending - at) as u64
-                    } else {
-                        0
-                    };
-                    return Err(BatchAbort {
-                        error,
-                        abandoned_pairs: abandoned,
-                    });
+                Err(busy @ EffresError::Busy { .. }) if at == 0 => return Err(busy),
+                Err(err) => {
+                    // Mid-batch shed (or a deadline run out waiting for the
+                    // lease): everything drained so far stands; the rest is
+                    // typed — `Busy` to retry, `DeadlineExceeded` to give up
+                    // on.
+                    for t in &pending[at..] {
+                        statuses[t.slot as usize] = Err(err.clone());
+                    }
+                    break;
                 }
             };
             let grant = lease.as_ref().map_or(budget, |l| l.granted());
@@ -354,335 +322,37 @@ impl QueryEngine<PagedSnapshot> {
             report.blocks += 1;
             let block = &mut pending[block_start..at];
             // 3. Pin the block (coalesced) and sweep its hi side in sorted
-            // order, so every hi fetch is sequential readahead.
-            let pinned = Arc::new(store.pin_pages(&lo_pages)?);
+            // order, so every hi fetch is sequential readahead. In partial
+            // mode the pin degrades: pages that cannot be produced fail only
+            // the queries anchored on them, and the rest of the block
+            // proceeds over whatever did pin.
+            let (pinned, pin_failures) = if partial {
+                store.pin_pages_partial(&lo_pages)
+            } else {
+                match store.pin_pages(&lo_pages) {
+                    Ok(pinned) => (pinned, Vec::new()),
+                    Err(err) => {
+                        statuses[block[0].slot as usize] = Err(err);
+                        break;
+                    }
+                }
+            };
+            let pinned = Arc::new(pinned);
             block.sort_unstable_by_key(|t| (t.page_hi, t.page_lo, t.slot));
+            let mut drainable: Vec<Pending> = Vec::with_capacity(block.len());
+            for t in block.iter() {
+                match pin_failures
+                    .iter()
+                    .find(|(pid, _)| *pid == t.page_lo as usize)
+                {
+                    Some((_, err)) => statuses[t.slot as usize] = Err(err.clone()),
+                    None => drainable.push(*t),
+                }
+            }
 
             // Cut the sweep into window jobs: each accumulates up to
             // `window` distinct hi pages that are not already pinned with
             // the block.
-            let mut job_bounds: Vec<(Vec<usize>, usize, usize)> = Vec::new();
-            let mut job_pids: Vec<usize> = Vec::new();
-            let mut job_start = 0usize;
-            for (i, t) in block.iter().enumerate() {
-                let hi = t.page_hi as usize;
-                let needed = lo_pages.binary_search(&hi).is_err() && job_pids.last() != Some(&hi);
-                if needed && job_pids.len() == window {
-                    job_bounds.push((std::mem::take(&mut job_pids), job_start, i));
-                    job_start = i;
-                }
-                if needed {
-                    job_pids.push(hi);
-                }
-            }
-            job_bounds.push((job_pids, job_start, block.len()));
-            report.windows += job_bounds.len();
-
-            if fan > 1 && job_bounds.len() > 1 {
-                // Fan the windows out: each worker pins its own window (its
-                // per-worker shard of the grant) over the shared block pin.
-                // Jobs are submitted in waves of at most `fan`, because the
-                // pin bound is per *concurrent* window — a pool with more
-                // workers than `fan` would otherwise pin every window of the
-                // block at once and blow through the lease. The closures are
-                // built per wave, not up front, so a token that trips
-                // between waves abandons the un-dispatched windows without
-                // ever materializing them.
-                parallel_fan = parallel_fan.max(job_bounds.len().min(fan));
-                let mut bounds: VecDeque<(Vec<usize>, usize, usize)> = job_bounds.into();
-                let mut job_index = 0usize;
-                while !bounds.is_empty() {
-                    if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                        let undrained: u64 =
-                            bounds.iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
-                        return Err(BatchAbort {
-                            error: EffresError::DeadlineExceeded { reason },
-                            abandoned_pairs: undrained + (total_pending - at) as u64,
-                        });
-                    }
-                    let wave: Vec<_> = bounds
-                        .drain(..fan.min(bounds.len()))
-                        .map(|(pids, lo, hi)| {
-                            let job = job_index;
-                            job_index += 1;
-                            let core = Arc::clone(&self.core);
-                            let pinned = Arc::clone(&pinned);
-                            let queries = block[lo..hi].to_vec();
-                            move || drain_window(&core, &pinned, &pids, &queries, job)
-                        })
-                        .collect();
-                    for result in self.worker_pool().run(wave) {
-                        let (drained, window_kernel) = result?;
-                        kernel.merge(window_kernel);
-                        for (slot, value) in drained {
-                            values[slot as usize] = value;
-                        }
-                    }
-                }
-            } else {
-                for (index, (pids, lo, hi)) in job_bounds.iter().enumerate() {
-                    if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                        let undrained: u64 = job_bounds[index..]
-                            .iter()
-                            .map(|&(_, lo, hi)| (hi - lo) as u64)
-                            .sum();
-                        return Err(BatchAbort {
-                            error: EffresError::DeadlineExceeded { reason },
-                            abandoned_pairs: undrained + (total_pending - at) as u64,
-                        });
-                    }
-                    let (drained, window_kernel) =
-                        drain_window(&self.core, &pinned, pids, &block[*lo..*hi], 0)?;
-                    kernel.merge(window_kernel);
-                    for (slot, value) in drained {
-                        values[slot as usize] = value;
-                    }
-                }
-            }
-        }
-
-        for (slot, first) in duplicates {
-            values[slot as usize] = values[first as usize];
-        }
-
-        let elapsed = start.elapsed();
-        self.queries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-        self.service_time.record(batch.len(), elapsed);
-        Ok(BatchResult {
-            values,
-            elapsed,
-            threads: parallel_fan,
-            cache_hits: hits,
-            cache_misses: misses,
-            page_cache: self.end_page_window(),
-            kernel,
-            schedule: Some(report),
-        })
-    }
-
-    /// The partial-results twin of
-    /// [`execute_scheduled`](Self::execute_scheduled): same clustering, same
-    /// blocks, same kernels — but failures **degrade** instead of aborting.
-    ///
-    /// * An out-of-bounds pair fails only its own slot
-    ///   ([`EffresError::NodeOutOfBounds`]).
-    /// * A page the store cannot produce (exhausted retries, persistent
-    ///   corruption) fails only the queries that touch it: block pins
-    ///   degrade through
-    ///   [`pin_pages_partial`](effres_io::PagedColumnStore::pin_pages_partial),
-    ///   and a window whose batched kernel fails is re-run query by query so
-    ///   the poisoned page pair is isolated
-    ///   ([`EffresError::StoreFailure`]).
-    /// * Under bounded admission, a shed at a block boundary marks the
-    ///   *remaining* queries [`EffresError::Busy`] and returns what already
-    ///   drained.
-    ///
-    /// Successful answers are bit-identical to a fault-free
-    /// [`execute_scheduled`](Self::execute_scheduled) run: the per-query
-    /// fallback calls the very same batched kernel
-    /// ([`column_store::column_distances_squared_batch`]) on a one-pair
-    /// slice, which computes per pair exactly what the full-window call
-    /// computes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EffresError::Busy`] only when bounded admission sheds the
-    /// **first** block — nothing has been computed, so the caller should
-    /// back off and resubmit the batch whole.
-    pub fn execute_scheduled_partial(
-        &self,
-        batch: &QueryBatch,
-    ) -> Result<PartialBatchResult, EffresError> {
-        self.execute_scheduled_partial_inner(batch, None)
-    }
-
-    /// [`execute_scheduled_partial`](Self::execute_scheduled_partial) with a
-    /// cancellation token: a trip at a block or readahead-wave boundary
-    /// keeps everything already drained (bit-identical, as always) and marks
-    /// the rest [`EffresError::DeadlineExceeded`] — count the tail with
-    /// [`PartialBatchResult::abandoned_pairs`]. A batch whose deadline the
-    /// service-time EWMA says cannot be met is shed whole with `Err` before
-    /// anything is queued or pinned.
-    pub fn execute_scheduled_partial_with_cancel(
-        &self,
-        batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
-    ) -> Result<PartialBatchResult, EffresError> {
-        self.admit_deadline(batch, cancel)?;
-        self.execute_scheduled_partial_inner(batch, Some(cancel))
-    }
-
-    fn execute_scheduled_partial_inner(
-        &self,
-        batch: &QueryBatch,
-        cancel: Option<&Arc<CancelToken>>,
-    ) -> Result<PartialBatchResult, EffresError> {
-        let n = self.core.backend.node_count();
-        self.begin_page_window();
-        let start = Instant::now();
-
-        let store = &self.core.backend.store;
-        let permutation = self.core.backend.permutation();
-        let mut statuses: Vec<Result<f64, EffresError>> =
-            (0..batch.len()).map(|_| Ok(0.0)).collect();
-        let mut hits = 0u64;
-        let mut pending: Vec<Pending> = Vec::with_capacity(batch.len());
-        let mut duplicates: Vec<(u32, u32)> = Vec::new();
-        let mut first_slot_of: std::collections::HashMap<u64, u32> =
-            std::collections::HashMap::new();
-        for (slot, &(p, q)) in batch.pairs().iter().enumerate() {
-            if p >= n || q >= n {
-                statuses[slot] = Err(EffresError::NodeOutOfBounds {
-                    node: p.max(q),
-                    node_count: n,
-                });
-                continue;
-            }
-            if p == q {
-                continue; // statuses[slot] stays Ok(0.0)
-            }
-            let key = cache_key(p, q);
-            if let Some(cache) = &self.core.cache {
-                if let Some(value) = cache.get(key) {
-                    hits += 1;
-                    statuses[slot] = Ok(value);
-                    continue;
-                }
-                if let Some(&first) = first_slot_of.get(&key) {
-                    hits += 1;
-                    duplicates.push((slot as u32, first));
-                    continue;
-                }
-                first_slot_of.insert(key, slot as u32);
-            }
-            let pp = permutation.new(p);
-            let qq = permutation.new(q);
-            let (pa, pb) = (store.page_of_column(pp), store.page_of_column(qq));
-            pending.push(Pending {
-                slot: slot as u32,
-                pp: pp as u32,
-                qq: qq as u32,
-                key,
-                page_lo: pa.min(pb) as u32,
-                page_hi: pa.max(pb) as u32,
-            });
-        }
-        drop(first_slot_of);
-        let misses = pending.len() as u64;
-
-        pending.sort_unstable_by_key(|t| (t.page_lo, t.page_hi, t.slot));
-        let clusters = pending
-            .windows(2)
-            .filter(|w| (w[0].page_lo, w[0].page_hi) != (w[1].page_lo, w[1].page_hi))
-            .count()
-            + usize::from(!pending.is_empty());
-
-        // Identical budget math to the all-or-nothing path: the plan — and
-        // therefore the evaluation order — must not depend on the mode.
-        let budget = store.cache_capacity_pages().max(2);
-        let threads = self.effective_threads(batch.len()).max(1);
-        let brownout = self.brownout_active();
-        let window_of = |grant: usize| {
-            if brownout {
-                1
-            } else {
-                match self.options.readahead_pages {
-                    0 => (grant / 8).clamp(1, 64),
-                    w => w,
-                }
-            }
-            .min(grant - 1)
-            .max(1)
-        };
-        let full_window = window_of(budget);
-        let full_block_cap = budget.saturating_sub(full_window * threads).max(1);
-
-        let mut distinct_lo_from = vec![0usize; pending.len() + 1];
-        for i in (0..pending.len()).rev() {
-            let new_page = i + 1 == pending.len() || pending[i].page_lo != pending[i + 1].page_lo;
-            distinct_lo_from[i] = distinct_lo_from[i + 1] + usize::from(new_page);
-        }
-
-        let mut report = ScheduleReport {
-            clusters,
-            blocks: 0,
-            windows: 0,
-        };
-        let mut kernel = KernelStats::default();
-        let mut parallel_fan = 1usize;
-        let mut at = 0usize;
-        while at < pending.len() {
-            // Block boundary: a tripped token keeps the drained prefix and
-            // types the rest — partial mode never aborts mid-batch.
-            if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                for t in &pending[at..] {
-                    statuses[t.slot as usize] = Err(EffresError::DeadlineExceeded { reason });
-                }
-                break;
-            }
-            let desired = if distinct_lo_from[at] >= full_block_cap {
-                budget
-            } else {
-                (distinct_lo_from[at] + full_window * threads).min(budget)
-            };
-            let lease = match self.lease_block(desired, cancel.map(Arc::as_ref)) {
-                Ok(lease) => lease,
-                Err(busy @ EffresError::Busy { .. }) if at == 0 => return Err(busy),
-                Err(err) => {
-                    // Mid-batch shed (or a deadline run out waiting for the
-                    // lease): everything drained so far stands; the rest is
-                    // typed for the client — `Busy` to retry,
-                    // `DeadlineExceeded` to give up on.
-                    for t in &pending[at..] {
-                        statuses[t.slot as usize] = Err(err.clone());
-                    }
-                    break;
-                }
-            };
-            let grant = lease.as_ref().map_or(budget, |l| l.granted());
-            let window = window_of(grant.max(2));
-            let fan = threads.min((grant.saturating_sub(1) / window).max(1));
-            let block_cap = grant.saturating_sub(window * fan).max(1);
-
-            let block_start = at;
-            let mut lo_pages: Vec<usize> = Vec::new();
-            while at < pending.len() {
-                let lo = pending[at].page_lo as usize;
-                if lo_pages.last() != Some(&lo) {
-                    if lo_pages.len() == block_cap {
-                        break;
-                    }
-                    lo_pages.push(lo);
-                }
-                at += 1;
-            }
-            report.blocks += 1;
-            let block = &mut pending[block_start..at];
-            // Degraded pin: pages that cannot be produced fail only the
-            // queries anchored on them; the rest of the block proceeds over
-            // whatever did pin.
-            let (pinned, pin_failures) = store.pin_pages_partial(&lo_pages);
-            let pinned = Arc::new(pinned);
-            block.sort_unstable_by_key(|t| (t.page_hi, t.page_lo, t.slot));
-            let mut drainable: Vec<Pending> = Vec::with_capacity(block.len());
-            if pin_failures.is_empty() {
-                drainable.extend_from_slice(block);
-            } else {
-                for t in block.iter() {
-                    match pin_failures
-                        .iter()
-                        .find(|(pid, _)| *pid == t.page_lo as usize)
-                    {
-                        Some((_, err)) => statuses[t.slot as usize] = Err(err.clone()),
-                        None => drainable.push(*t),
-                    }
-                }
-            }
-
             let mut job_bounds: Vec<(Vec<usize>, usize, usize)> = Vec::new();
             let mut job_pids: Vec<usize> = Vec::new();
             let mut job_start = 0usize;
@@ -700,58 +370,64 @@ impl QueryEngine<PagedSnapshot> {
             job_bounds.push((job_pids, job_start, drainable.len()));
             report.windows += job_bounds.len();
 
-            if fan > 1 && job_bounds.len() > 1 {
+            // Fan the windows out: each worker pins its own window (its
+            // per-worker shard of the grant) over the shared block pin.
+            // Jobs are submitted in waves of at most `fan`, because the pin
+            // bound is per *concurrent* window — a pool with more workers
+            // than `fan` would otherwise pin every window of the block at
+            // once and blow through the lease. The closures are built per
+            // wave, not up front, so a token that trips between waves
+            // abandons the un-dispatched windows without ever materializing
+            // them. A wave of one window runs inline.
+            if job_bounds.len() > 1 {
                 parallel_fan = parallel_fan.max(job_bounds.len().min(fan));
-                let mut bounds: VecDeque<(Vec<usize>, usize, usize)> = job_bounds.into();
-                let mut job_index = 0usize;
-                while !bounds.is_empty() {
-                    // Wave boundary: abandon the un-dispatched windows of
-                    // this block (the sticky token marks the later blocks at
-                    // the top of the outer loop).
-                    if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                        for &(_, lo, hi) in &bounds {
-                            for t in &drainable[lo..hi] {
-                                statuses[t.slot as usize] =
-                                    Err(EffresError::DeadlineExceeded { reason });
-                            }
+            }
+            let mut bounds: VecDeque<(Vec<usize>, usize, usize)> = job_bounds.into();
+            let mut job_index = 0usize;
+            while !bounds.is_empty() {
+                // Wave boundary: abandon the un-dispatched windows of this
+                // block (the sticky token marks the later blocks at the top
+                // of the outer loop).
+                if let Some(reason) = cancel.and_then(CancelToken::cancelled) {
+                    for &(_, lo, hi) in &bounds {
+                        for t in &drainable[lo..hi] {
+                            statuses[t.slot as usize] =
+                                Err(EffresError::DeadlineExceeded { reason });
                         }
-                        break;
                     }
-                    let wave: Vec<_> = bounds
-                        .drain(..fan.min(bounds.len()))
-                        .map(|(pids, lo, hi)| {
-                            let job = job_index;
-                            job_index += 1;
+                    break;
+                }
+                let wave: Vec<_> = bounds.drain(..fan.min(bounds.len())).collect();
+                let results = if let [(pids, lo, hi)] = wave.as_slice() {
+                    let queries = &drainable[*lo..*hi];
+                    vec![drain_window(
+                        &self.core, &pinned, pids, queries, job_index, partial,
+                    )]
+                } else {
+                    let jobs: Vec<_> = wave
+                        .into_iter()
+                        .enumerate()
+                        .map(|(offset, (pids, lo, hi))| {
                             let core = Arc::clone(&self.core);
                             let pinned = Arc::clone(&pinned);
                             let queries = drainable[lo..hi].to_vec();
-                            move || drain_window_partial(&core, &pinned, &pids, &queries, job)
+                            let job = job_index + offset;
+                            move || drain_window(&core, &pinned, &pids, &queries, job, partial)
                         })
                         .collect();
-                    for (window_statuses, window_kernel) in self.worker_pool().run(wave) {
-                        kernel.merge(window_kernel);
-                        for (slot, status) in window_statuses {
-                            statuses[slot as usize] = status;
-                        }
-                    }
-                }
-            } else {
-                for (index, (pids, lo, hi)) in job_bounds.iter().enumerate() {
-                    if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                        for &(_, lo, hi) in &job_bounds[index..] {
-                            for t in &drainable[lo..hi] {
-                                statuses[t.slot as usize] =
-                                    Err(EffresError::DeadlineExceeded { reason });
-                            }
-                        }
-                        break;
-                    }
-                    let (window_statuses, window_kernel) =
-                        drain_window_partial(&self.core, &pinned, pids, &drainable[*lo..*hi], 0);
+                    self.worker_pool().run(jobs)
+                };
+                job_index += fan;
+                let mut failed = false;
+                for (window_statuses, window_kernel) in results {
                     kernel.merge(window_kernel);
                     for (slot, status) in window_statuses {
+                        failed |= status.is_err();
                         statuses[slot as usize] = status;
                     }
+                }
+                if failed && !partial {
+                    break 'blocks;
                 }
             }
         }
@@ -759,27 +435,14 @@ impl QueryEngine<PagedSnapshot> {
         for (slot, first) in duplicates {
             statuses[slot as usize] = statuses[first as usize].clone();
         }
-
-        let elapsed = start.elapsed();
-        self.queries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-        let result = PartialBatchResult {
+        Ok(Run {
             statuses,
-            elapsed,
-            threads: parallel_fan,
-            cache_hits: hits,
-            cache_misses: misses,
-            page_cache: self.end_page_window(),
+            hits,
+            misses,
             kernel,
+            threads: parallel_fan,
             schedule: Some(report),
-        };
-        if result.is_complete() {
-            self.service_time.record(batch.len(), elapsed);
-        }
-        Ok(result)
+        })
     }
 }
 
@@ -792,17 +455,43 @@ impl QueryEngine<PagedSnapshot> {
 /// touches the cache locks for them. The hub scratch comes from the
 /// engine's sharded free list (`scratch_hint` spreads concurrent windows
 /// over distinct shards), and the kernel counters it accumulated ride back
-/// alongside the values.
-fn drain_window(
-    core: &EngineCore<PagedSnapshot>,
+/// alongside the statuses.
+///
+/// Fail-fast, the first failure (a window pin or the kernel) is reported on
+/// one slot and ends the window. In partial mode, window pins degrade page
+/// by page, and a failed grouped kernel is re-run **query by query** over
+/// the same pinned reader — the grouped kernel on a one-pair slice computes
+/// the bit-identical per-pair value (the multi-pair property tests pin
+/// this), so the successes stay bit-identical and only queries actually
+/// touching an unproducible page fail.
+fn drain_window<B: ResistanceBackend>(
+    core: &EngineCore<B>,
     block_pin: &PinnedPages,
     window_pids: &[usize],
     queries: &[Pending],
     scratch_hint: usize,
-) -> Result<(Vec<(u32, f64)>, KernelStats), EffresError> {
-    let store = &core.backend.store;
-    let window_pin = store.pin_pages(window_pids)?;
+    partial: bool,
+) -> (WindowStatuses, KernelStats) {
+    let store = core
+        .backend
+        .paged_store()
+        .expect("the scheduler only runs over paged stores");
+    let Some(first) = queries.first() else {
+        return (Vec::new(), KernelStats::default());
+    };
+    // Failed window pins are not fatal in partial mode: the reader falls
+    // back to the store for unpinned pages, and any page that truly cannot
+    // be produced fails its queries in the per-query pass below.
+    let window_pin = if partial {
+        store.pin_pages_partial(window_pids).0
+    } else {
+        match store.pin_pages(window_pids) {
+            Ok(pin) => pin,
+            Err(err) => return (vec![(first.slot, Err(err))], KernelStats::default()),
+        }
+    };
     let reader = PinnedReader::new(store, block_pin, Some(&window_pin));
+    let norms = core.norms.as_ref().map(|table| table.as_slice());
     // Re-sort the window by normalized column pair: pages hold neighbouring
     // columns, so the page-sorted window is nearly column-sorted already,
     // and this makes runs sharing a hub column contiguous for the grouped
@@ -815,53 +504,12 @@ fn drain_window(
         .map(|t| (t.pp as usize, t.qq as usize))
         .collect();
     let mut scratch = core.take_scratch(scratch_hint);
-    let outcome = column_store::column_distances_squared_grouped(
-        &reader,
-        &pairs,
-        core.norms.as_ref().map(|table| table.as_slice()),
-        &mut scratch,
-    );
-    let kernel = scratch.take_stats();
-    core.return_scratch(scratch_hint, scratch);
-    let values = outcome?;
-    let mut out = Vec::with_capacity(sorted.len());
-    for (t, &value) in sorted.iter().zip(&values) {
+    let answer = |t: &Pending, value: f64| {
         if let Some(cache) = &core.cache {
             cache.insert(t.key, value);
         }
-        out.push((t.slot, value));
-    }
-    Ok((out, kernel))
-}
-
-/// The degrading twin of [`drain_window`]: window pins degrade page by page,
-/// and a failed grouped kernel is re-run **query by query** over the same
-/// pinned reader — the grouped kernel on a one-pair slice computes the
-/// bit-identical per-pair value (the multi-pair property tests pin this),
-/// so the successes stay bit-identical and only queries actually touching
-/// an unproducible page fail.
-#[allow(clippy::type_complexity)]
-fn drain_window_partial(
-    core: &EngineCore<PagedSnapshot>,
-    block_pin: &PinnedPages,
-    window_pids: &[usize],
-    queries: &[Pending],
-    scratch_hint: usize,
-) -> (Vec<(u32, Result<f64, EffresError>)>, KernelStats) {
-    let store = &core.backend.store;
-    // Failed window pins are not fatal: the reader falls back to the store
-    // for unpinned pages, and any page that truly cannot be produced fails
-    // its queries in the per-query pass below.
-    let (window_pin, _window_failures) = store.pin_pages_partial(window_pids);
-    let reader = PinnedReader::new(store, block_pin, Some(&window_pin));
-    let norms = core.norms.as_ref().map(|table| table.as_slice());
-    let mut sorted: Vec<Pending> = queries.to_vec();
-    sorted.sort_unstable_by_key(|t| (t.pp.min(t.qq), t.pp.max(t.qq), t.slot));
-    let pairs: Vec<(usize, usize)> = sorted
-        .iter()
-        .map(|t| (t.pp as usize, t.qq as usize))
-        .collect();
-    let mut scratch = core.take_scratch(scratch_hint);
+        (t.slot, Ok(value))
+    };
     let out = match column_store::column_distances_squared_grouped(
         &reader,
         &pairs,
@@ -871,30 +519,20 @@ fn drain_window_partial(
         Ok(values) => sorted
             .iter()
             .zip(&values)
-            .map(|(t, &value)| {
-                if let Some(cache) = &core.cache {
-                    cache.insert(t.key, value);
-                }
-                (t.slot, Ok(value))
-            })
+            .map(|(t, &value)| answer(t, value))
             .collect(),
+        Err(err) if !partial => vec![(first.slot, Err(err))],
         Err(_) => sorted
             .iter()
-            .map(|t| {
-                let pair = [(t.pp as usize, t.qq as usize)];
+            .zip(&pairs)
+            .map(|(t, pair)| {
                 match column_store::column_distances_squared_grouped(
                     &reader,
-                    &pair,
+                    std::slice::from_ref(pair),
                     norms,
                     &mut scratch,
                 ) {
-                    Ok(values) => {
-                        let value = values[0];
-                        if let Some(cache) = &core.cache {
-                            cache.insert(t.key, value);
-                        }
-                        (t.slot, Ok(value))
-                    }
+                    Ok(values) => answer(t, values[0]),
                     Err(err) => (t.slot, Err(err)),
                 }
             })
@@ -913,6 +551,7 @@ mod tests {
     use effres_graph::generators;
     use effres_io::paged::{open_paged, PagedOptions};
     use effres_io::snapshot::save_snapshot;
+    use effres_io::PagedSnapshot;
 
     fn temp_snapshot(name: &str) -> (std::path::PathBuf, EffectiveResistanceEstimator) {
         let graph = generators::grid_2d(16, 16, 0.5, 2.0, 7).expect("generator");
@@ -967,8 +606,16 @@ mod tests {
             };
             let reference = paged_engine(&path, &paged_options, options());
             let scheduled = paged_engine(&path, &paged_options, options());
-            let a = reference.execute(&batch).expect("unscheduled");
-            let b = scheduled.execute_scheduled(&batch).expect("scheduled");
+            let a = reference
+                .execute_with(
+                    &batch,
+                    &ExecOptions {
+                        schedule: false,
+                        ..ExecOptions::default()
+                    },
+                )
+                .expect("unscheduled");
+            let b = scheduled.execute(&batch).expect("scheduled");
             assert_eq!(a.values.len(), b.values.len());
             for (slot, (x, y)) in a.values.iter().zip(&b.values).enumerate() {
                 assert_eq!(
@@ -1018,8 +665,8 @@ mod tests {
                 ..EngineOptions::default()
             },
         );
-        let a = sequential.execute_scheduled(&batch).expect("sequential");
-        let b = parallel.execute_scheduled(&batch).expect("parallel");
+        let a = sequential.execute(&batch).expect("sequential");
+        let b = parallel.execute(&batch).expect("parallel");
         assert!(b.threads > 1, "expected window fan-out");
         for (x, y) in a.values.iter().zip(&b.values) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -1040,11 +687,11 @@ mod tests {
             EngineOptions::default(),
         );
         let batch = QueryBatch::random(500, 256, 11);
-        let first = engine.execute_scheduled(&batch).expect("first");
+        let first = engine.execute(&batch).expect("first");
         // A few in-batch duplicate pairs fold into hits; everything else
         // takes the kernel on a cold cache.
         assert!(first.cache_misses > 400);
-        let second = engine.execute_scheduled(&batch).expect("second");
+        let second = engine.execute(&batch).expect("second");
         assert!(second.cache_hits > 400, "repeat served from the pair cache");
         for (x, y) in first.values.iter().zip(&second.values) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -1087,8 +734,12 @@ mod tests {
         let batch = QueryBatch::random(500, 256, 21);
         let cancel = Arc::new(CancelToken::unbounded());
         cancel.cancel(CancelReason::Disconnected);
+        let with_token = |cancel: &Arc<CancelToken>| ExecOptions {
+            cancel: Some(Arc::clone(cancel)),
+            ..ExecOptions::default()
+        };
         let abort = engine
-            .execute_scheduled_with_cancel(&batch, &cancel)
+            .execute_with(&batch, &with_token(&cancel))
             .unwrap_err();
         assert_eq!(
             abort.error,
@@ -1102,14 +753,22 @@ mod tests {
         assert_eq!(admission.available, admission.budget);
         // The partial twin rejects whole too when nothing has run.
         assert!(matches!(
-            engine.execute_scheduled_partial_with_cancel(&batch, &cancel),
+            engine
+                .execute_with(
+                    &batch,
+                    &ExecOptions {
+                        partial: true,
+                        ..with_token(&cancel)
+                    }
+                )
+                .map_err(|abort| abort.error),
             Err(EffresError::DeadlineExceeded { .. })
         ));
         // An untripped token executes normally, bit-identical.
         let live = Arc::new(CancelToken::unbounded());
-        let reference = engine.execute_scheduled(&batch).expect("reference");
+        let reference = engine.execute(&batch).expect("reference");
         let result = engine
-            .execute_scheduled_with_cancel(&batch, &live)
+            .execute_with(&batch, &with_token(&live))
             .expect("live batch");
         for (x, y) in reference.values.iter().zip(&result.values) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -1135,8 +794,8 @@ mod tests {
         browned.set_brownout(true);
         assert!(browned.brownout_active());
         let batch = QueryBatch::random(2000, 256, 33);
-        let a = normal.execute_scheduled(&batch).expect("normal");
-        let b = browned.execute_scheduled(&batch).expect("brownout");
+        let a = normal.execute(&batch).expect("normal");
+        let b = browned.execute(&batch).expect("brownout");
         // Brownout only reshapes the I/O plan — single-page readahead means
         // strictly more, smaller windows — while every value stays
         // bit-identical.
@@ -1152,7 +811,7 @@ mod tests {
         );
         // Clearing brownout restores the original plan.
         browned.set_brownout(false);
-        let c = browned.execute_scheduled(&batch).expect("recovered");
+        let c = browned.execute(&batch).expect("recovered");
         assert_eq!(c.schedule.expect("recovered").windows, sa.windows);
     }
 
@@ -1162,7 +821,7 @@ mod tests {
         let engine = paged_engine(&path, &PagedOptions::default(), EngineOptions::default());
         let before = engine.stats().queries;
         let batch = QueryBatch::from_pairs(vec![(0, 1), (2, 1_000_000)]);
-        assert!(engine.execute_scheduled(&batch).is_err());
+        assert!(engine.execute(&batch).is_err());
         assert_eq!(engine.stats().queries, before);
     }
 }

@@ -56,19 +56,15 @@ fn concurrent_scheduled_batches_never_over_pin_the_page_cache() {
     // Solo reference runs on a private engine each: the values any correct
     // concurrent execution must reproduce exactly.
     let solo = Arc::new(open_paged(&path, &paged_options).expect("open"));
-    let reference_a = engine_over(&solo, 2)
-        .execute_scheduled(&batch_a)
-        .expect("solo a");
-    let reference_b = engine_over(&solo, 2)
-        .execute_scheduled(&batch_b)
-        .expect("solo b");
+    let reference_a = engine_over(&solo, 2).execute(&batch_a).expect("solo a");
+    let reference_b = engine_over(&solo, 2).execute(&batch_b).expect("solo b");
 
     let paged = Arc::new(open_paged(&path, &paged_options).expect("open"));
     let budget = paged.store.cache_capacity_pages().max(2);
     let engine = engine_over(&paged, 2);
     let (result_a, result_b) = std::thread::scope(|scope| {
-        let racer = scope.spawn(|| engine.execute_scheduled(&batch_a).expect("racing a"));
-        let result_b = engine.execute_scheduled(&batch_b).expect("racing b");
+        let racer = scope.spawn(|| engine.execute(&batch_a).expect("racing a"));
+        let result_b = engine.execute(&batch_b).expect("racing b");
         (racer.join().expect("join"), result_b)
     });
 
@@ -138,7 +134,7 @@ fn admission_capacity_is_fully_returned_after_a_storm() {
             scope.spawn(move || {
                 for round in 0..4 {
                     let batch = QueryBatch::random(240, 24 * 24, seed * 101 + round);
-                    engine.execute_scheduled(&batch).expect("scheduled");
+                    engine.execute(&batch).expect("scheduled");
                 }
             });
         }

@@ -6,15 +6,19 @@
 //! fault rate, a 20k-query scheduled batch must be **100% bit-identical**
 //! to its fault-free run (with the recovery observable in the retry
 //! counters); permanent corruption must fail exactly the queries that
-//! touch it; and an overloaded engine must answer [`EffresError::Busy`]
-//! within the configured lease timeout instead of queueing forever.
+//! touch it; an overloaded engine must answer [`EffresError::Busy`]
+//! within the configured lease timeout instead of queueing forever; and
+//! every way out of a batch books the service counters by one rule.
 
-use effres::{BusyReason, EffectiveResistanceEstimator, EffresConfig, EffresError};
+use effres::{BusyReason, CancelReason, EffectiveResistanceEstimator, EffresConfig, EffresError};
 use effres_graph::generators;
 use effres_io::paged::{open_paged, open_paged_with_faults, PagedOptions, PagedSnapshot};
-use effres_io::snapshot::save_snapshot;
-use effres_io::{FaultPlan, RetryPolicy};
-use effres_service::{EngineOptions, QueryBatch, QueryEngine};
+use effres_io::snapshot::{load_snapshot, save_snapshot};
+use effres_io::{FaultPlan, PageCacheStats, RetryPolicy};
+use effres_service::{
+    BatchAbort, BatchResult, CancelToken, EngineOptions, ExecOptions, QueryBatch, QueryEngine,
+    ResistanceBackend,
+};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -50,6 +54,13 @@ fn engine_over(paged: PagedSnapshot, options: EngineOptions) -> QueryEngine<Page
     QueryEngine::new(Arc::new(paged), options)
 }
 
+fn partial_mode() -> ExecOptions {
+    ExecOptions {
+        partial: true,
+        ..ExecOptions::default()
+    }
+}
+
 fn plain_options() -> EngineOptions {
     EngineOptions {
         cache_capacity: 0,
@@ -68,7 +79,7 @@ fn scheduled_batch_is_bit_identical_under_transient_faults() {
         open_paged(path, &churny_options()).expect("fault-free open"),
         plain_options(),
     );
-    let reference = clean.execute_scheduled(&batch).expect("fault-free batch");
+    let reference = clean.execute(&batch).expect("fault-free batch");
 
     // ~2% of read attempts fault (1.5% I/O errors + 0.5% short reads):
     // bounded retry must absorb every one without changing a single bit.
@@ -87,7 +98,7 @@ fn scheduled_batch_is_bit_identical_under_transient_faults() {
         .expect("faulted open"),
         plain_options(),
     );
-    let survived = faulted.execute_scheduled(&batch).expect("faulted batch");
+    let survived = faulted.execute(&batch).expect("faulted batch");
 
     assert_eq!(reference.values.len(), survived.values.len());
     let mismatches = reference
@@ -124,7 +135,7 @@ fn partial_mode_fails_only_the_queries_touching_the_rotten_page() {
 
     let clean = engine_over(probe, plain_options());
     let batch = QueryBatch::random(4_000, 256, 0x5EED);
-    let reference = clean.execute_scheduled(&batch).expect("fault-free batch");
+    let reference = clean.execute(&batch).expect("fault-free batch");
 
     let plan = FaultPlan::new(0).poison(offset, 2);
     let faulted = engine_over(
@@ -141,7 +152,7 @@ fn partial_mode_fails_only_the_queries_touching_the_rotten_page() {
     );
 
     // The all-or-nothing path refuses the whole batch (it touches rot)...
-    let all_or_nothing = faulted.execute_scheduled(&batch);
+    let all_or_nothing = faulted.execute(&batch);
     assert!(
         matches!(all_or_nothing, Err(EffresError::StoreFailure { .. })),
         "a batch touching a rotten page must fail typed: {all_or_nothing:?}"
@@ -149,7 +160,8 @@ fn partial_mode_fails_only_the_queries_touching_the_rotten_page() {
 
     // ...while the partial path degrades exactly the touching queries.
     let partial = faulted
-        .execute_scheduled_partial(&batch)
+        .execute_with(&batch, &partial_mode())
+        .map_err(|abort| abort.error)
         .expect("partial mode never sheds without admission bounds");
     assert_eq!(partial.statuses.len(), batch.len());
     let mut failed = 0usize;
@@ -224,7 +236,7 @@ fn overloaded_engine_sheds_busy_within_the_lease_timeout() {
         let engine = Arc::clone(&engine);
         std::thread::spawn(move || {
             let batch = QueryBatch::random(60_000, 256, 0xB16);
-            engine.execute_scheduled(&batch).expect("holder batch")
+            engine.execute(&batch).expect("holder batch")
         })
     };
     // Wait until the holder's lease is actually granted (its pins are
@@ -243,7 +255,7 @@ fn overloaded_engine_sheds_busy_within_the_lease_timeout() {
     while !holder.is_finished() {
         std::thread::sleep(Duration::from_millis(2));
         let asked = Instant::now();
-        match engine.execute_scheduled(&QueryBatch::random(2_000, 256, 0x5ED)) {
+        match engine.execute(&QueryBatch::random(2_000, 256, 0x5ED)) {
             Err(EffresError::Busy { reason }) => {
                 shed += 1;
                 slowest = slowest.max(asked.elapsed());
@@ -290,7 +302,7 @@ fn queued_batch_times_out_with_a_typed_busy() {
         let engine = Arc::clone(&engine);
         std::thread::spawn(move || {
             let batch = QueryBatch::random(60_000, 256, 0xB17);
-            engine.execute_scheduled(&batch).expect("holder batch")
+            engine.execute(&batch).expect("holder batch")
         })
     };
     let waited = Instant::now();
@@ -305,7 +317,10 @@ fn queued_batch_times_out_with_a_typed_busy() {
     // With queue room, the second batch queues — and must give up with a
     // typed timeout rather than waiting for the holder indefinitely.
     let asked = Instant::now();
-    match engine.execute_scheduled_partial(&QueryBatch::random(2_000, 256, 0x5ED)) {
+    match engine
+        .execute_with(&QueryBatch::random(2_000, 256, 0x5ED), &partial_mode())
+        .map_err(|abort| abort.error)
+    {
         Err(EffresError::Busy { reason }) => {
             assert_eq!(reason, BusyReason::LeaseTimeout);
             let elapsed = asked.elapsed();
@@ -328,4 +343,117 @@ fn queued_batch_times_out_with_a_typed_busy() {
         Err(other) => panic!("expected Busy, got {other}"),
     }
     holder.join().expect("holder thread");
+}
+
+/// Runs `batch` once under `opts` and returns the outcome with the
+/// `(batches, queries)` deltas it booked into the engine's stats.
+fn booked<B: ResistanceBackend>(
+    engine: &QueryEngine<B>,
+    batch: &QueryBatch,
+    opts: &ExecOptions,
+) -> (Result<BatchResult, BatchAbort>, u64, u64) {
+    let before = engine.stats();
+    let outcome = engine.execute_with(batch, opts);
+    let after = engine.stats();
+    (
+        outcome,
+        after.batches - before.batches,
+        after.queries - before.queries,
+    )
+}
+
+/// The counting rule documented on `ServiceStats`, on every plan (resident,
+/// paged scheduled, paged arrival order) and in both modes: a batch that
+/// passed validation and deadline admission books one batch and the slots
+/// it returned `Ok`; a rejected one books nothing; and whatever the exit,
+/// the per-batch page window is closed (no page traffic is left on the
+/// store's live counters).
+#[test]
+fn every_exit_books_batches_and_answered_queries_by_one_rule() {
+    let path = snapshot_path();
+    let probe = open_paged(path, &churny_options()).expect("probe open");
+    let offset = probe.store.column_value_byte_offset(101) + 6;
+    let clean_paged = engine_over(probe, plain_options());
+    let poisoned_paged = engine_over(
+        open_paged_with_faults(
+            path,
+            &churny_options().with_retry(RetryPolicy {
+                max_retries: 2,
+                backoff: Duration::from_micros(1),
+            }),
+            FaultPlan::new(0).poison(offset, 2),
+        )
+        .expect("faulted open"),
+        plain_options(),
+    );
+    let resident = QueryEngine::new(
+        Arc::new(load_snapshot(path).expect("load").estimator),
+        plain_options(),
+    );
+    // 4k random pairs over 256 nodes touch every page, the rotten one too.
+    let batch = QueryBatch::random(4_000, 256, 0xB00C);
+    let len = batch.len() as u64;
+    let window_closed = |engine: &QueryEngine<PagedSnapshot>| {
+        assert_eq!(
+            engine.backend().store.page_cache_stats(),
+            PageCacheStats::default(),
+            "the batch left its page window open"
+        );
+    };
+
+    for partial in [false, true] {
+        for schedule in [true, false] {
+            let opts = ExecOptions {
+                partial,
+                schedule,
+                ..ExecOptions::default()
+            };
+            let tripped = Arc::new(CancelToken::unbounded());
+            tripped.cancel(CancelReason::Disconnected);
+            let pre_cancelled = ExecOptions {
+                cancel: Some(tripped),
+                ..opts.clone()
+            };
+
+            // Clean: one batch, every query answered.
+            let (outcome, batches, queries) = booked(&resident, &batch, &opts);
+            assert!(outcome.expect("resident batch").is_complete());
+            assert_eq!((batches, queries), (1, len), "resident clean");
+            let (outcome, batches, queries) = booked(&clean_paged, &batch, &opts);
+            assert!(outcome.expect("paged batch").is_complete());
+            assert_eq!((batches, queries), (1, len), "paged clean");
+            window_closed(&clean_paged);
+
+            // Pre-cancelled: rejected at deadline admission, nothing booked.
+            let (outcome, batches, queries) = booked(&resident, &batch, &pre_cancelled);
+            assert_eq!(outcome.expect_err("tripped").abandoned_pairs, len);
+            assert_eq!((batches, queries), (0, 0), "resident pre-cancelled");
+            let (outcome, batches, queries) = booked(&clean_paged, &batch, &pre_cancelled);
+            assert_eq!(outcome.expect_err("tripped").abandoned_pairs, len);
+            assert_eq!((batches, queries), (0, 0), "paged pre-cancelled");
+            window_closed(&clean_paged);
+
+            // Failing mid-batch on the poisoned page: one batch either way;
+            // fail-fast answers nothing, partial mode the untouched slots.
+            let (outcome, batches, queries) = booked(&poisoned_paged, &batch, &opts);
+            let answered = match outcome {
+                Ok(result) => {
+                    assert!(partial, "fail-fast must abort on the rotten page");
+                    assert!(result.failures() > 0);
+                    len - result.failures() as u64
+                }
+                Err(abort) => {
+                    assert!(!partial, "partial mode must degrade, not abort");
+                    assert!(matches!(abort.error, EffresError::StoreFailure { .. }));
+                    0
+                }
+            };
+            assert_eq!(
+                (batches, queries),
+                (1, answered),
+                "poisoned, partial={partial} schedule={schedule}"
+            );
+            window_closed(&poisoned_paged);
+        }
+    }
 }

@@ -7,7 +7,7 @@ use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
 use effres_io::dataset::{load_graph, IngestOptions};
 use effres_io::{edge_list, gzip, snapshot};
-use effres_service::{EngineOptions, QueryBatch, QueryEngine};
+use effres_service::{EngineOptions, ExecOptions, QueryBatch, QueryEngine};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -107,8 +107,16 @@ fn dataset_to_batched_queries_to_snapshot_and_back() {
     };
     let resident_engine = QueryEngine::new(Arc::new(restored.estimator.clone()), engine_options());
     let paged_engine = QueryEngine::new(Arc::new(paged), engine_options());
+    // The engine would schedule a paged batch; this step measures the
+    // arrival-order path the scheduler is compared against below.
+    let arrival_order = ExecOptions {
+        schedule: false,
+        ..ExecOptions::default()
+    };
     let resident_result = resident_engine.execute(&batch).expect("resident batch");
-    let paged_result = paged_engine.execute(&batch).expect("paged batch");
+    let paged_result = paged_engine
+        .execute_with(&batch, &arrival_order)
+        .expect("paged batch");
     assert_eq!(resident_result.values.len(), paged_result.values.len());
     for (slot, (&a, &b)) in resident_result
         .values
@@ -138,7 +146,7 @@ fn dataset_to_batched_queries_to_snapshot_and_back() {
     assert!(resident_result.page_cache.is_none());
 
     // 8. The locality scheduler: the same batch through
-    //    `execute_scheduled` must reproduce the resident answers
+    //    the default (scheduled) `execute` must reproduce the resident answers
     //    bit-identically, in the original request order, while reading far
     //    fewer pages than the arrival-order paged run above.
     let scheduled_engine = QueryEngine::new(
@@ -156,9 +164,7 @@ fn dataset_to_batched_queries_to_snapshot_and_back() {
         ),
         engine_options(),
     );
-    let scheduled_result = scheduled_engine
-        .execute_scheduled(&batch)
-        .expect("scheduled batch");
+    let scheduled_result = scheduled_engine.execute(&batch).expect("scheduled batch");
     for (slot, (&a, &b)) in resident_result
         .values
         .iter()
@@ -204,7 +210,7 @@ proptest! {
 
     /// The locality-scheduler contract, as a property over random page
     /// geometries (including a one-page cache), cache budgets, readahead
-    /// windows and batches: `execute_scheduled` returns its values in the
+    /// windows and batches: the scheduled `execute` returns its values in the
     /// batch's original request order and bit-identical to the unscheduled
     /// paged path.
     #[test]
@@ -234,8 +240,10 @@ proptest! {
             engine_options(readahead),
         );
         let batch = QueryBatch::random(queries, reference.node_count(), seed);
-        let a = reference.execute(&batch).expect("unscheduled");
-        let b = scheduled.execute_scheduled(&batch).expect("scheduled");
+        let a = reference
+            .execute_with(&batch, &ExecOptions { schedule: false, ..ExecOptions::default() })
+            .expect("unscheduled");
+        let b = scheduled.execute(&batch).expect("scheduled");
         prop_assert_eq!(a.values.len(), b.values.len());
         for (slot, (x, y)) in a.values.iter().zip(&b.values).enumerate() {
             prop_assert_eq!(
