@@ -122,6 +122,25 @@ fn json_u64(stats: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("stats key {key} is not a number: {stats}"))
 }
 
+fn brownout_active(stats: &str) -> bool {
+    stats.contains("\"brownout_active\":true")
+}
+
+/// Sends healthy batches until the server reports it has left brownout.
+fn clear_brownout(live: &mut Client, pairs: &[(u64, u64)], expected: &[f64]) {
+    let waited = Instant::now();
+    while live.ping().expect("ping").brownout {
+        for _ in 0..5 {
+            let served = live.query_batch(pairs).expect("recovery batch");
+            assert_bit_identical(&served, expected, "recovery batch");
+        }
+        assert!(
+            waited.elapsed() < Duration::from_secs(30),
+            "brownout never cleared"
+        );
+    }
+}
+
 fn median(mut samples: Vec<Duration>) -> Duration {
     samples.sort_unstable();
     samples[samples.len() / 2]
@@ -390,7 +409,9 @@ fn cancellation_recovers_goodput_under_a_deadline_storm() {
     let mut on_phases = Vec::with_capacity(STORM_ALTERNATIONS);
     for _ in 0..STORM_ALTERNATIONS {
         // Phase A — cancellation OFF. Measure how long live traffic takes while
-        // a legacy client hammers huge batches.
+        // a legacy client hammers huge batches. Brownout from the previous
+        // phase B is drained first, so the phase runs the normal path.
+        clear_brownout(&mut live, &live_pairs, &expected);
         let (stop, storm) = run_storm(None);
         let waited = Instant::now();
         loop {
@@ -417,10 +438,13 @@ fn cancellation_recovers_goodput_under_a_deadline_storm() {
 
         // Phase B — cancellation ON. Same storm size, 1 ms deadlines: the EWMA
         // sheds them before they queue and the brownout controller engages.
+        // Timing starts once this phase's storm has driven brownout on anew.
+        let entries = json_u64(&handle.stats_json(), "brownout_entries");
         let (stop, storm) = run_storm(Some(Duration::from_millis(1)));
         let waited = Instant::now();
         loop {
-            if json_u64(&handle.stats_json(), "brownout_entries") >= 1 {
+            let stats = handle.stats_json();
+            if json_u64(&stats, "brownout_entries") > entries && brownout_active(&stats) {
                 break;
             }
             assert!(
@@ -458,25 +482,8 @@ fn cancellation_recovers_goodput_under_a_deadline_storm() {
 
     // Brownout is hysteretic: a run of healthy traffic decays the pressure
     // EWMA below the exit threshold and the server reports healthy again.
-    let waited = Instant::now();
-    loop {
-        for _ in 0..5 {
-            let served = live.query_batch(&live_pairs).expect("recovery batch");
-            assert_bit_identical(&served, &expected, "recovery batch");
-        }
-        // Exits catch up with entries once brownout has cleared for good
-        // (the alternating storms may have flipped it more than once).
-        let stats = handle.stats_json();
-        let exits = json_u64(&stats, "brownout_exits");
-        if exits >= 1 && exits == json_u64(&stats, "brownout_entries") {
-            break;
-        }
-        assert!(
-            waited.elapsed() < Duration::from_secs(30),
-            "brownout never cleared: {}",
-            handle.stats_json()
-        );
-    }
+    clear_brownout(&mut live, &live_pairs, &expected);
+    assert!(json_u64(&handle.stats_json(), "brownout_exits") >= 1);
     let report = live.ping().expect("ping");
     assert!(!report.brownout, "brownout cleared after the storm");
 

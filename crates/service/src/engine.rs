@@ -320,6 +320,27 @@ impl std::fmt::Display for BatchAbort {
     }
 }
 
+impl BatchAbort {
+    /// The abort of a fail-fast run that stopped short. A store fault or
+    /// `Busy` in one parallel slice outranks a cancellation another slice
+    /// hit meanwhile: the batch failed, it was not abandoned.
+    fn from_fail_fast(mut statuses: Vec<Result<f64, EffresError>>) -> Self {
+        let fault = statuses.iter().position(
+            |s| matches!(s, Err(e) if !matches!(e, EffresError::DeadlineExceeded { .. })),
+        );
+        match fault {
+            Some(at) => BatchAbort::from(statuses.swap_remove(at).unwrap_err()),
+            None => BatchAbort {
+                abandoned_pairs: count_abandoned(&statuses),
+                error: statuses
+                    .into_iter()
+                    .find_map(Result::err)
+                    .expect("a short fail-fast run carries its error"),
+            },
+        }
+    }
+}
+
 impl From<EffresError> for BatchAbort {
     fn from(error: EffresError) -> Self {
         BatchAbort {
@@ -541,24 +562,6 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         }
     }
 
-    /// Snapshots and resets the paged store's page counters (`None` for
-    /// resident backends).
-    fn take_page_counters(&self) -> Option<PageCacheStats> {
-        self.core
-            .backend
-            .paged_store()
-            .map(PagedColumnStore::take_page_cache_stats)
-    }
-
-    /// Folds page counters into the cumulative pool.
-    fn drain_page_counters(&self, delta: PageCacheStats) {
-        let mut drained = self
-            .drained_page_stats
-            .lock()
-            .expect("page stats lock poisoned");
-        *drained = drained.merged(delta);
-    }
-
     /// Cumulative service counters: the page-cache figures combine what
     /// finished batches drained from the backend's snapshot/reset counters
     /// with whatever has accrued since (single queries, an in-flight batch),
@@ -622,9 +625,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     pub fn take_service_stats(&self) -> ServiceStats {
         // Drain the backend's live page counters into the per-engine pool
         // first, then empty the pool into the interval delta.
-        if let Some(live) = self.take_page_counters() {
-            self.drain_page_counters(live);
-        }
+        self.drain_page_window();
         let page = std::mem::take(
             &mut *self
                 .drained_page_stats
@@ -714,7 +715,9 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     /// unmeetable or the token has already tripped (the whole batch counts
     /// as abandoned), bounded admission sheds the batch before anything ran
     /// ([`EffresError::Busy`]), or — in fail-fast mode — any query fails or
-    /// the token trips mid-batch.
+    /// the token trips mid-batch. When parallel slices of one fail-fast
+    /// batch hit both, the failure (a store fault, say) is reported with no
+    /// abandoned pairs rather than the cancellation.
     pub fn execute_with(
         &self,
         batch: &QueryBatch,
@@ -730,30 +733,21 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                     abandoned_pairs: batch.len() as u64,
                 })?;
         }
-        self.begin_page_window();
+        self.drain_page_window();
         let start = Instant::now();
         let run = match self.core.backend.paged_store() {
             Some(store) if opts.schedule => self.run_scheduled(batch, store, opts),
             _ => Ok(self.run_arrival(batch, opts)),
         };
         let elapsed = start.elapsed();
-        let page_cache = self.end_page_window();
+        let page_cache = self.drain_page_window();
         self.batches.fetch_add(1, Ordering::Relaxed);
         let run = run?;
         self.cache_hits.fetch_add(run.hits, Ordering::Relaxed);
         self.cache_misses.fetch_add(run.misses, Ordering::Relaxed);
         let answered = run.statuses.iter().filter(|s| s.is_ok()).count();
         if !opts.partial && answered < batch.len() {
-            let abandoned_pairs = count_abandoned(&run.statuses);
-            let error = run
-                .statuses
-                .into_iter()
-                .find_map(Result::err)
-                .expect("a short fail-fast run carries its error");
-            return Err(BatchAbort {
-                error,
-                abandoned_pairs,
-            });
+            return Err(BatchAbort::from_fail_fast(run.statuses));
         }
         self.queries.fetch_add(answered as u64, Ordering::Relaxed);
         if answered == batch.len() {
@@ -791,20 +785,22 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         }
     }
 
-    /// Opens a per-batch page-traffic window: counters accrued *before* the
-    /// batch (single queries, stats polling) are drained into the cumulative
-    /// pool so the close-of-window delta is the batch's own traffic.
-    fn begin_page_window(&self) {
-        if let Some(stray) = self.take_page_counters() {
-            self.drain_page_counters(stray);
-        }
-    }
-
-    /// Closes a per-batch window: returns the batch's page traffic and folds
-    /// it into the cumulative pool.
-    fn end_page_window(&self) -> Option<PageCacheStats> {
-        let delta = self.take_page_counters()?;
-        self.drain_page_counters(delta);
+    /// Snapshots and resets the paged store's live page counters, folds them
+    /// into the cumulative pool and returns them (`None` for resident
+    /// backends). A batch calls it on entry, so counters accrued *before* it
+    /// (single queries, stats polling) are not billed to it, and again on
+    /// every exit, where the delta is the batch's own page traffic.
+    fn drain_page_window(&self) -> Option<PageCacheStats> {
+        let delta = self
+            .core
+            .backend
+            .paged_store()
+            .map(PagedColumnStore::take_page_cache_stats)?;
+        let mut drained = self
+            .drained_page_stats
+            .lock()
+            .expect("page stats lock poisoned");
+        *drained = drained.merged(delta);
         Some(delta)
     }
 
@@ -1086,6 +1082,31 @@ mod tests {
         let estimator =
             EffectiveResistanceEstimator::build(&graph, &EffresConfig::default()).expect("build");
         QueryEngine::new(Arc::new(estimator), options)
+    }
+
+    #[test]
+    fn a_fail_fast_abort_reports_a_fault_over_a_cancellation() {
+        let deadline = || EffresError::DeadlineExceeded {
+            reason: CancelReason::DeadlineExpired,
+        };
+        let fault = EffresError::StoreFailure {
+            column: 7,
+            message: "poisoned page".into(),
+        };
+        // One slice cancelled (slots 1-2), another stopped at a fault.
+        let abort = BatchAbort::from_fail_fast(vec![
+            Ok(1.0),
+            Err(deadline()),
+            Err(deadline()),
+            Ok(2.0),
+            Err(fault),
+        ]);
+        assert!(matches!(abort.error, EffresError::StoreFailure { .. }));
+        assert_eq!(abort.abandoned_pairs, 0);
+
+        let abort = BatchAbort::from_fail_fast(vec![Ok(1.0), Err(deadline()), Err(deadline())]);
+        assert!(matches!(abort.error, EffresError::DeadlineExceeded { .. }));
+        assert_eq!(abort.abandoned_pairs, 2);
     }
 
     #[test]
