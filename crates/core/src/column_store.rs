@@ -25,10 +25,9 @@
 //! serving thread. For the in-memory store the closure compiles down to the
 //! direct slice access it always was.
 
-use crate::approx_inverse::{ColumnView, SparseApproximateInverse, ValuesView};
+use crate::approx_inverse::{ColumnView, SparseApproximateInverse};
 use crate::error::EffresError;
 use effres_sparse::vecops;
-use effres_sparse::vecops::ScalarValue;
 
 /// A source of the columns of the approximate inverse `Z̃`.
 ///
@@ -156,40 +155,18 @@ pub fn column_dot<S: ColumnStore + ?Sized>(
     })?
 }
 
-/// The suffix-restricted two-pointer merge shared by [`column_dot`]'s
-/// nested-fetch path (where both views are alive at once). Dispatches on
-/// the views' value widths; every arm accumulates in `f64` via the shared
-/// `vecops` merge, so the all-`f64` arm is bit-identical to the historical
-/// `&[f64]`-only loop.
+/// The suffix-restricted two-pointer merge shared by [`column_dot`] and
+/// [`HubScratch::isolated_dot`]: binary-searches both operands to the
+/// `bound..` suffix, then runs the shared sorted-merge dot product.
 fn suffix_dot_views(a: ColumnView<'_>, b: ColumnView<'_>, bound: u32) -> f64 {
-    match (a.values_view(), b.values_view()) {
-        (ValuesView::F64(av), ValuesView::F64(bv)) => {
-            suffix_merge_dot(a.indices(), av, b.indices(), bv, bound)
-        }
-        (ValuesView::F64(av), ValuesView::F32(bv)) => {
-            suffix_merge_dot(a.indices(), av, b.indices(), bv, bound)
-        }
-        (ValuesView::F32(av), ValuesView::F64(bv)) => {
-            suffix_merge_dot(a.indices(), av, b.indices(), bv, bound)
-        }
-        (ValuesView::F32(av), ValuesView::F32(bv)) => {
-            suffix_merge_dot(a.indices(), av, b.indices(), bv, bound)
-        }
-    }
-}
-
-/// Binary-searches both operands to the `bound..` suffix, then runs the
-/// shared sorted-merge dot product (f64 accumulation for any value width).
-fn suffix_merge_dot<A: ScalarValue, B: ScalarValue>(
-    ai: &[u32],
-    av: &[A],
-    bi: &[u32],
-    bv: &[B],
-    bound: u32,
-) -> f64 {
-    let i = ai.partition_point(|&row| row < bound);
-    let j = bi.partition_point(|&row| row < bound);
-    vecops::sparse_dot(&ai[i..], &av[i..], &bi[j..], &bv[j..])
+    let i = a.indices().partition_point(|&row| row < bound);
+    let j = b.indices().partition_point(|&row| row < bound);
+    vecops::sparse_dot(
+        &a.indices()[i..],
+        &a.values()[i..],
+        &b.indices()[j..],
+        &b.values()[j..],
+    )
 }
 
 /// Squared Euclidean distance between two columns — the effective-resistance
@@ -209,19 +186,8 @@ pub fn column_distance_squared<S: ColumnStore + ?Sized>(
     q: usize,
 ) -> Result<f64, EffresError> {
     store.with_column(p, |a| {
-        store.with_column(q, |b| match (a.values_view(), b.values_view()) {
-            (ValuesView::F64(av), ValuesView::F64(bv)) => {
-                vecops::sparse_distance_squared(a.indices(), av, b.indices(), bv)
-            }
-            (ValuesView::F64(av), ValuesView::F32(bv)) => {
-                vecops::sparse_distance_squared(a.indices(), av, b.indices(), bv)
-            }
-            (ValuesView::F32(av), ValuesView::F64(bv)) => {
-                vecops::sparse_distance_squared(a.indices(), av, b.indices(), bv)
-            }
-            (ValuesView::F32(av), ValuesView::F32(bv)) => {
-                vecops::sparse_distance_squared(a.indices(), av, b.indices(), bv)
-            }
+        store.with_column(q, |b| {
+            vecops::sparse_distance_squared(a.indices(), a.values(), b.indices(), b.values())
         })
     })?
 }
@@ -307,8 +273,8 @@ pub struct KernelStats {
     /// Pairs answered by the plain two-column suffix merge (no neighbour
     /// shared a hub, so batching had nothing to amortize).
     pub isolated_pairs: u64,
-    /// Approximate arena bytes the kernels read (row indices + values, at
-    /// the store's value width), excluding norm-table lookups.
+    /// Approximate arena bytes the kernels read (row indices + values),
+    /// excluding norm-table lookups.
     pub bytes_streamed: u64,
 }
 
@@ -461,17 +427,8 @@ impl HubScratch {
             // after running the closure still leaves a cleanable scratch.
             let indices = &column.indices()[start..];
             loaded_indices.extend_from_slice(indices);
-            match column.values_view() {
-                ValuesView::F64(values) => {
-                    for (&i, &v) in indices.iter().zip(&values[start..]) {
-                        dense[i as usize] = v;
-                    }
-                }
-                ValuesView::F32(values) => {
-                    for (&i, &v) in indices.iter().zip(&values[start..]) {
-                        dense[i as usize] = f64::from(v);
-                    }
-                }
+            for (&i, &v) in indices.iter().zip(&column.values()[start..]) {
+                dense[i as usize] = v;
             }
             (column.nnz() - start) * column.entry_bytes()
         })?;

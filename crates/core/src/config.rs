@@ -112,13 +112,9 @@ pub struct EffresConfig {
     /// answers are bit-identical for every cache size — the knob trades
     /// disk reads only.
     pub page_cache_pages: usize,
-    /// Width of the stored arena values (see
-    /// [`ValueMode`]). The default `F64` is bit-identical
-    /// to every release so far; `F32` halves the value stream the query
-    /// kernels read (the estimator narrows the arena after the f64 build,
-    /// recording the worst relative rounding error in
-    /// [`crate::SparseApproximateInverse::narrowing_error`]). Snapshots
-    /// stay f64-canonical regardless.
+    /// Width of the stored arena values. Compatibility shim: [`ValueMode`]
+    /// has the single variant `F64`, and nothing reads this field to build
+    /// or serve.
     pub value_mode: ValueMode,
 }
 
@@ -198,12 +194,6 @@ impl EffresConfig {
     /// the store, never here.
     pub fn with_page_cache_pages(mut self, pages: usize) -> Self {
         self.page_cache_pages = pages;
-        self
-    }
-
-    /// Sets the stored value width (see [`EffresConfig::value_mode`]).
-    pub fn with_value_mode(mut self, value_mode: ValueMode) -> Self {
-        self.value_mode = value_mode;
         self
     }
 

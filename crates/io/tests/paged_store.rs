@@ -417,36 +417,6 @@ fn v3_fixture_serves_persisted_norms_bit_identical_to_resident() {
     assert_eq!((stats.hits, stats.misses, stats.bytes_read), (0, 0, 0));
 }
 
-/// The f64 resident estimator narrowed to f32 — the reference the paged
-/// f32 mode must match bit for bit.
-fn resident_f32() -> &'static effres::EffectiveResistanceEstimator {
-    static NARROW: OnceLock<effres::EffectiveResistanceEstimator> = OnceLock::new();
-    NARROW.get_or_init(|| {
-        load_snapshot(fixture("v2_grid12.snap"))
-            .expect("v2 fixture loads")
-            .estimator
-            .with_value_mode(effres::ValueMode::F32)
-            .expect("narrowing a healthy arena succeeds")
-    })
-}
-
-/// Both paged-capable encodings decoded in f32 mode, across the same page
-/// geometries the f64 property sweeps.
-fn paged_f32_stores() -> &'static [PagedSnapshot] {
-    static STORES: OnceLock<Vec<PagedSnapshot>> = OnceLock::new();
-    STORES.get_or_init(|| {
-        ["v2_grid12.snap", "v3_grid12.snap"]
-            .iter()
-            .flat_map(|name| {
-                paged_configs().iter().map(|options| {
-                    let options = (*options).with_value_mode(effres::ValueMode::F32);
-                    open_paged(fixture(name), &options).expect("fixture opens")
-                })
-            })
-            .collect()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -484,58 +454,4 @@ proptest! {
             }
         }
     }
-
-    /// The f32 decode mode: every paged geometry and encoding must serve
-    /// queries and per-column norms bit-identical to the **resident f32**
-    /// estimator (narrow-at-load and narrow-at-page-decode agree exactly),
-    /// including on the v3 file whose persisted f64 norm table must be
-    /// ignored in this mode.
-    #[test]
-    fn paged_f32_matches_resident_f32_bitwise(
-        (p, q, which) in (0usize..144, 0usize..144, 0usize..8),
-    ) {
-        let narrow = resident_f32().approximate_inverse();
-        let paged = &paged_f32_stores()[which];
-        prop_assert!(paged.norms().is_none(), "f32 mode drops the persisted f64 norms");
-        let resident_distance = column_store::column_distance_squared(narrow, p, q)
-            .expect("resident store never fails");
-        let paged_distance = column_store::column_distance_squared(&paged.store, p, q)
-            .expect("healthy fixture");
-        prop_assert_eq!(resident_distance.to_bits(), paged_distance.to_bits());
-        let resident_norm = narrow.column_norm_squared(p).expect("resident norm");
-        let paged_norm = paged.store.column_norm_squared(p).expect("paged norm");
-        prop_assert_eq!(resident_norm.to_bits(), paged_norm.to_bits());
-    }
-}
-
-#[test]
-fn narrowed_estimators_are_rejected_by_every_snapshot_writer() {
-    use effres_io::snapshot::{
-        save_snapshot, write_snapshot, write_snapshot_v1, write_snapshot_v2,
-    };
-    let narrow = resident_f32();
-    let dir = std::env::temp_dir().join("effres-f32-reject");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("narrowed.snap");
-    let mut sink = Vec::new();
-    for (name, result) in [
-        ("save_snapshot", save_snapshot(&path, narrow, None)),
-        ("write_snapshot", write_snapshot(&mut sink, narrow, None)),
-        (
-            "write_snapshot_v1",
-            write_snapshot_v1(&mut sink, narrow, None),
-        ),
-        (
-            "write_snapshot_v2",
-            write_snapshot_v2(&mut sink, narrow, None),
-        ),
-    ] {
-        let err = result.expect_err(name);
-        assert!(
-            matches!(err, IoError::Format(ref m) if m.contains("f64-canonical")),
-            "{name}: {err}"
-        );
-    }
-    assert!(sink.is_empty(), "no writer may emit bytes first");
-    assert!(!path.exists(), "no writer may leave a file behind");
 }

@@ -29,14 +29,16 @@
 //! to resident serving.
 
 use effres::centrality::centralities_from_resistances;
-use effres::{EffectiveResistanceEstimator, EffresConfig, Ordering, ValueMode, WorkerPool};
+use effres::{EffectiveResistanceEstimator, EffresConfig, Ordering, WorkerPool};
 use effres_graph::builder::MergePolicy;
 use effres_io::dataset::{load_graph, IngestOptions};
 use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::{load_snapshot, save_snapshot, Snapshot};
 use effres_io::{pairs, IoError};
 use effres_server::{Client, ClientError, ServedEngine, Server, ServerOptions};
-use effres_service::{EngineOptions, ExecOptions, LatencyHistogram, QueryBatch, QueryEngine};
+use effres_service::{
+    BatchResult, EngineOptions, ExecOptions, LatencyHistogram, QueryBatch, QueryEngine,
+};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -55,8 +57,7 @@ USAGE:
                      [--threads N] [--cache N] [--seed S] [--output <file>]
                      [--paged [--page-cache N]] [ingest|build options]
     effres-cli centrality <dataset> [--snapshot <file> [--paged]]
-                     [--value-mode f64|f32] [--threads N] [--output <file>]
-                     [ingest|build options]
+                     [--threads N] [--output <file>] [ingest|build options]
     effres-cli stats <dataset|snapshot> [--paged [--page-cache N]]
     effres-cli stats <host:port>
     effres-cli serve <dataset|snapshot> [--host H] [--port N] [--threads N]
@@ -84,11 +85,6 @@ BUILD OPTIONS (dataset inputs):
     --build-threads <n>     approximate-inverse build workers
                             (0 = all cores, 1 = sequential; results are
                             bit-identical either way)     [default: 0]
-    --value-mode <m>        f64 | f32 — width of the served arena values.
-                            f32 halves the value stream the query kernels
-                            read, at a bounded relative rounding error per
-                            value (~6e-8); snapshots stay f64-canonical
-                            either way                    [default: f64]
 
 CENTRALITY OPTIONS (spanning-edge centrality of every edge):
     --snapshot <file>       serve queries from this prebuilt snapshot
@@ -360,14 +356,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     parse_number(&value_of("--build-threads", &mut iter)?, "--build-threads")?;
                 options.config = options.config.with_build_threads(threads);
             }
-            "--value-mode" => {
-                let mode = match value_of("--value-mode", &mut iter)?.as_str() {
-                    "f64" => ValueMode::F64,
-                    "f32" => ValueMode::F32,
-                    other => return Err(CliError::Usage(format!("unknown value mode `{other}`"))),
-                };
-                options.config = options.config.with_value_mode(mode);
-            }
             "--output" | "-o" => options.output = Some(value_of("--output", &mut iter)?.into()),
             "--snapshot" => options.snapshot = Some(value_of("--snapshot", &mut iter)?.into()),
             "--pairs" => options.pairs_file = Some(value_of("--pairs", &mut iter)?.into()),
@@ -503,24 +491,13 @@ fn is_snapshot(path: &Path) -> bool {
 fn obtain_snapshot(path: &Path, options: &Options) -> Result<Snapshot, CliError> {
     if is_snapshot(path) {
         let start = Instant::now();
-        let mut snapshot = load_snapshot(path)?;
+        let snapshot = load_snapshot(path)?;
         println!(
             "loaded snapshot {} ({} nodes) in {:.3}s",
             path.display(),
             snapshot.estimator.node_count(),
             start.elapsed().as_secs_f64()
         );
-        // Snapshots are f64-canonical; a narrower serving width is applied
-        // here, after the load (dataset inputs narrow inside `build`).
-        if options.config.value_mode == ValueMode::F32 {
-            let start = Instant::now();
-            snapshot.estimator = snapshot.estimator.with_value_mode(ValueMode::F32)?;
-            println!(
-                "narrowed   values to f32 (max relative error {:.2e}) in {:.3}s",
-                snapshot.estimator.approximate_inverse().narrowing_error(),
-                start.elapsed().as_secs_f64()
-            );
-        }
         return Ok(snapshot);
     }
     let start = Instant::now();
@@ -557,9 +534,8 @@ fn obtain_paged(path: &Path, options: &Options) -> Result<PagedSnapshot, CliErro
         ));
     }
     let start = Instant::now();
-    let mut paged_options = PagedOptions::default()
-        .with_cache_pages(options.config.page_cache_pages)
-        .with_value_mode(options.config.value_mode);
+    let mut paged_options =
+        PagedOptions::default().with_cache_pages(options.config.page_cache_pages);
     if let Some(columns) = options.columns_per_page {
         paged_options = paged_options.with_columns_per_page(columns);
     }
@@ -640,7 +616,7 @@ fn cmd_load(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), CliError> {
-    let mut options = parse_options(args)?;
+    let options = parse_options(args)?;
     let path = require_input(&options)?.to_path_buf();
     if is_snapshot(&path) {
         return Err(CliError::Run(format!(
@@ -648,13 +624,7 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
             path.display()
         )));
     }
-    // Snapshots are f64-canonical, so build (and save) at full precision and
-    // only narrow afterwards for the stats report; `--value-mode f32` on a
-    // later `query`/`batch`/`centrality` run applies the same narrowing at
-    // load time.
-    let requested_mode = options.config.value_mode;
-    options.config = options.config.with_value_mode(ValueMode::F64);
-    let mut snapshot = obtain_snapshot(&path, &options)?;
+    let snapshot = obtain_snapshot(&path, &options)?;
     if let Some(output) = &options.output {
         let start = Instant::now();
         save_snapshot(output, &snapshot.estimator, snapshot.labels.as_deref())?;
@@ -665,9 +635,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
             bytes as f64 / (1024.0 * 1024.0),
             start.elapsed().as_secs_f64()
         );
-    }
-    if requested_mode == ValueMode::F32 {
-        snapshot.estimator = snapshot.estimator.with_value_mode(ValueMode::F32)?;
     }
     print_estimator_stats(&snapshot.estimator);
     Ok(())
@@ -769,28 +736,22 @@ fn build_batch(
     }
 }
 
-/// Prints a batch summary (plus the per-batch page-traffic and scheduler
-/// lines when the backend pages columns in from disk) and writes the result
-/// file.
-fn serve_batch(
-    result: &effres_service::BatchResult,
-    batch: &QueryBatch,
-    labels: &Option<Vec<u64>>,
-    output: Option<&Path>,
-    pool_threads: usize,
-) -> Result<(), CliError> {
-    println!(
-        "batch      {} queries in {:.3}s, {} chunk(s) on a {}-worker pool — {:.0} queries/s",
-        batch.len(),
-        result.elapsed.as_secs_f64(),
-        result.threads,
-        pool_threads,
-        result.throughput()
-    );
-    println!(
-        "cache      {} hits, {} misses",
-        result.cache_hits, result.cache_misses
-    );
+/// Sizes the one persistent pool a build-then-serve run shares: the
+/// level-scheduled estimator build (dataset inputs) and the query engine
+/// reuse the same workers instead of each spawning their own. Sized for the
+/// larger of the two stages (`0` on either `threads` or the build's thread
+/// count means all cores) and installed in `config` for the build.
+fn shared_pool(threads: usize, config: &mut EffresConfig) -> WorkerPool {
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let resolve = |threads: usize| if threads == 0 { cores } else { threads };
+    let pool = WorkerPool::new(resolve(threads).max(resolve(config.build.threads)));
+    config.worker_pool = Some(pool.clone());
+    pool
+}
+
+/// Prints the kernel traffic of a batch, plus its per-batch page-traffic
+/// and scheduler lines when the backend pages columns in from disk.
+fn print_batch_traffic(result: &BatchResult) {
     let k = result.kernel;
     if k.pairs() > 0 {
         println!(
@@ -826,6 +787,30 @@ fn serve_batch(
             schedule.clusters, schedule.blocks, schedule.windows
         );
     }
+}
+
+/// Prints a batch summary (see [`print_batch_traffic`]) and writes the
+/// result file.
+fn serve_batch(
+    result: &BatchResult,
+    batch: &QueryBatch,
+    labels: &Option<Vec<u64>>,
+    output: Option<&Path>,
+    pool_threads: usize,
+) -> Result<(), CliError> {
+    println!(
+        "batch      {} queries in {:.3}s, {} chunk(s) on a {}-worker pool — {:.0} queries/s",
+        batch.len(),
+        result.elapsed.as_secs_f64(),
+        result.threads,
+        pool_threads,
+        result.throughput()
+    );
+    println!(
+        "cache      {} hits, {} misses",
+        result.cache_hits, result.cache_misses
+    );
+    print_batch_traffic(result);
     let mean = if result.values.is_empty() {
         0.0
     } else {
@@ -870,14 +855,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         (Some(file), None) => Source::Pairs(file),
         (None, Some(count)) => Source::Random(count),
     };
-    // One persistent pool for the whole build-then-serve run: the
-    // level-scheduled estimator build (dataset inputs) and the batch engine
-    // reuse the same workers instead of each spawning their own. Sized for
-    // the larger of the two stages (`0` on either flag means all cores).
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let resolve = |threads: usize| if threads == 0 { cores } else { threads };
-    let pool = WorkerPool::new(resolve(options.threads).max(resolve(options.config.build.threads)));
-    options.config = options.config.with_worker_pool(pool.clone());
+    let pool = shared_pool(options.threads, &mut options.config);
 
     if options.paged {
         // Out-of-core serving: never materialize the arena. Cold start is
@@ -987,11 +965,7 @@ fn cmd_centrality(args: &[String]) -> Result<(), CliError> {
             "--paged serves a prebuilt snapshot; add --snapshot <file>".into(),
         ));
     }
-    // One persistent pool for build-then-serve, exactly like `batch`.
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let resolve = |threads: usize| if threads == 0 { cores } else { threads };
-    let pool = WorkerPool::new(resolve(options.threads).max(resolve(options.config.build.threads)));
-    options.config = options.config.with_worker_pool(pool.clone());
+    let pool = shared_pool(options.threads, &mut options.config);
 
     let start = Instant::now();
     let ds = load_graph(&path, &options.ingest)?;
@@ -1066,37 +1040,7 @@ fn cmd_centrality(args: &[String]) -> Result<(), CliError> {
         pool.threads(),
         result.throughput()
     );
-    let k = result.kernel;
-    if k.pairs() > 0 {
-        println!(
-            "kernel     {:.1} MiB streamed, {} hub load(s) × {:.1} pair(s)/hub column, \
-             {} isolated pair(s)",
-            k.bytes_streamed as f64 / (1024.0 * 1024.0),
-            k.hub_loads,
-            k.pairs_per_hub_load(),
-            k.isolated_pairs
-        );
-    }
-    if let Some(page) = result.page_cache {
-        let lookups = page.hits + page.misses;
-        println!(
-            "page cache {} hits, {} misses ({:.1}% hit rate), {:.1} MiB read — this batch",
-            page.hits,
-            page.misses,
-            if lookups == 0 {
-                100.0
-            } else {
-                100.0 * page.hits as f64 / lookups as f64
-            },
-            page.bytes_read as f64 / (1024.0 * 1024.0)
-        );
-    }
-    if let Some(schedule) = result.schedule {
-        println!(
-            "schedule   {} page-pair cluster(s) -> {} pinned block(s), {} readahead window(s)",
-            schedule.clusters, schedule.blocks, schedule.windows
-        );
-    }
+    print_batch_traffic(&result);
     // For exact resistances the centralities of a connected graph sum to
     // n − 1 (every spanning tree has n − 1 edges); the approximate sum
     // landing near it is a cheap whole-workload sanity check.
@@ -1179,13 +1123,6 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
                 "persisted (v3)"
             } else {
                 "per-page (v2)"
-            }
-        );
-        println!(
-            "values     {}",
-            match paged.store.value_mode() {
-                ValueMode::F64 => "f64",
-                ValueMode::F32 => "f32 (narrowed at page decode; disk stays f64)",
             }
         );
         println!("max depth  {}", s.max_depth);
@@ -1677,12 +1614,5 @@ fn print_estimator_stats(estimator: &EffectiveResistanceEstimator) {
         mib(f.total_bytes()),
         f.index_width_bytes
     );
-    match estimator.approximate_inverse().value_mode() {
-        ValueMode::F64 => println!("values     f64"),
-        ValueMode::F32 => println!(
-            "values     f32 (max relative narrowing error {:.2e})",
-            estimator.approximate_inverse().narrowing_error()
-        ),
-    }
     println!("max depth  {}", s.max_depth);
 }
